@@ -28,12 +28,14 @@ tensor::Tensor DingFusion::FeatureRows(
   const int n = static_cast<int>(batch.size());
   const int vdim = 2 * vlm_->config().vision_dim;
   Tensor rows({n, feature_dim_});
-  Tensor video = vlm_->VideoFeatureRows(batch);
+  const vlm::Perception perception = vlm_->Perceive(batch);
   // World-knowledge channel: the frozen VLM's facial-action description
   // probabilities.
-  const auto probs = vlm_->DescribeProbsBatch(batch);
+  const auto probs = vlm_->DescribeProbsBatch(perception);
   for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < vdim; ++j) rows.at(i, j) = video.at(i, j);
+    for (int j = 0; j < vdim; ++j) {
+      rows.at(i, j) = perception.features.at(i, j);
+    }
     for (int k = 0; k < face::kNumAus; ++k) {
       rows.at(i, vdim + k) = static_cast<float>(probs[i][k]);
     }

@@ -12,6 +12,21 @@ namespace vsd::cot {
 
 using face::AuMask;
 
+namespace {
+
+/// Highlight on a batch-of-1 perception; a null `rng` is greedy.
+vlm::HighlightResult HighlightOne(const vlm::FoundationModel& model,
+                                  const vlm::Perception& perception,
+                                  const AuMask& description, int assessment,
+                                  int top_m, double temperature, Rng* rng) {
+  return model
+      .HighlightBatch(perception, {&description, 1}, {&assessment, 1}, top_m,
+                      temperature, {&rng, 1})
+      .front();
+}
+
+}  // namespace
+
 std::string ChainOutput::Transcript() const {
   return describe.text + "\n" + assess.text + "\n" + highlight.text;
 }
@@ -22,18 +37,12 @@ ChainPipeline::ChainPipeline(const vlm::FoundationModel* model,
   VSD_CHECK(model_ != nullptr) << "null model";
 }
 
-AuMask ChainPipeline::GreedyDescription(
-    const data::VideoSample& sample) const {
-  const data::VideoSample* one[] = {&sample};
-  return GreedyDescriptionBatch(one).front();
-}
-
-std::vector<AuMask> ChainPipeline::GreedyDescriptionBatch(
-    vlm::FoundationModel::SampleSpan batch) const {
-  std::vector<AuMask> masks(batch.size());
+std::vector<AuMask> ChainPipeline::GreedyDescriptions(
+    const vlm::Perception& perception) const {
+  std::vector<AuMask> masks(perception.size());
   if (!config_.use_chain) return masks;
-  const auto probs = model_->DescribeProbsBatch(batch);
-  for (size_t i = 0; i < batch.size(); ++i) {
+  const auto probs = model_->DescribeProbsBatch(perception);
+  for (size_t i = 0; i < masks.size(); ++i) {
     for (int j = 0; j < face::kNumAus; ++j) masks[i][j] = probs[i][j] > 0.5;
   }
   return masks;
@@ -51,11 +60,12 @@ std::vector<ChainOutput> ChainPipeline::RunBatch(
     std::span<Rng* const> rngs) const {
   VSD_CHECK(rngs.empty() || rngs.size() == batch.size())
       << "RunBatch rng mismatch";
-  const std::vector<AuMask> descriptions = GreedyDescriptionBatch(batch);
+  const vlm::Perception perception = model_->Perceive(batch);
+  const std::vector<AuMask> descriptions = GreedyDescriptions(perception);
   const std::vector<double> log_probs =
-      model_->DescriptionLogProbBatch(batch, descriptions);
-  const std::vector<vlm::AssessResult> assessments =
-      model_->AssessBatch(batch, descriptions, /*temperature=*/0.0, {});
+      model_->DescriptionLogProbBatch(perception, descriptions);
+  const std::vector<vlm::AssessResult> assessments = model_->AssessBatch(
+      perception, descriptions, /*temperature=*/0.0, {});
   std::vector<int> labels(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) labels[i] = assessments[i].label;
   // A null per-sample stream makes Highlight greedy (argmax) regardless of
@@ -63,7 +73,7 @@ std::vector<ChainOutput> ChainPipeline::RunBatch(
   // streams reproduces the single-sample `rng == nullptr ? 0.0 : ...`
   // selection exactly.
   const std::vector<vlm::HighlightResult> highlights = model_->HighlightBatch(
-      batch, descriptions, labels, config_.rationale_length,
+      perception, descriptions, labels, config_.rationale_length,
       rngs.empty() ? 0.0 : config_.highlight_temperature, rngs);
   std::vector<ChainOutput> outs(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -100,8 +110,9 @@ double ChainPipeline::PredictProbStressed(
 
 std::vector<double> ChainPipeline::PredictBatch(
     vlm::FoundationModel::SampleSpan batch) const {
-  return model_->AssessProbStressedBatch(batch,
-                                         GreedyDescriptionBatch(batch));
+  const vlm::Perception perception = model_->Perceive(batch);
+  return model_->AssessProbStressedBatch(perception,
+                                         GreedyDescriptions(perception));
 }
 
 std::vector<vsd::Result<double>> ChainPipeline::TryPredictBatch(
@@ -161,8 +172,9 @@ vsd::Result<double> ChainPipeline::TryPredictProbStressed(
 
 std::vector<int> ChainPipeline::PredictLabelBatch(
     vlm::FoundationModel::SampleSpan batch) const {
+  const vlm::Perception perception = model_->Perceive(batch);
   const std::vector<vlm::AssessResult> assessments = model_->AssessBatch(
-      batch, GreedyDescriptionBatch(batch), /*temperature=*/0.0, {});
+      perception, GreedyDescriptions(perception), /*temperature=*/0.0, {});
   std::vector<int> labels(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) labels[i] = assessments[i].label;
   return labels;
@@ -172,19 +184,19 @@ ChainOutput ChainPipeline::RunWithExample(const data::VideoSample& sample,
                                           int example_label,
                                           double similarity,
                                           Rng* rng) const {
+  const data::VideoSample* one[] = {&sample};
+  const vlm::Perception perception = model_->Perceive(one);
   ChainOutput out;
-  const AuMask description = GreedyDescription(sample);
+  const AuMask description = GreedyDescriptions(perception).front();
   out.describe.mask = description;
   out.describe.text = text::RenderDescription(description);
-  out.assess = model_->AssessWithExample(sample, description, example_label,
-                                         similarity, /*temperature=*/0.0,
-                                         nullptr);
-  out.highlight = model_->Highlight(sample, description, out.assess.label,
-                                    config_.rationale_length,
-                                    rng != nullptr
-                                        ? config_.highlight_temperature
-                                        : 0.0,
-                                    rng);
+  out.assess = model_->AssessWithExample(perception, description,
+                                         example_label, similarity,
+                                         /*temperature=*/0.0, nullptr);
+  out.highlight = HighlightOne(
+      *model_, perception, description, out.assess.label,
+      config_.rationale_length,
+      rng != nullptr ? config_.highlight_temperature : 0.0, rng);
   return out;
 }
 
@@ -192,7 +204,9 @@ ChainOutput ChainPipeline::RunWithTestTimeRefinement(
     const data::VideoSample& sample, const data::Dataset& pool,
     Rng* rng) const {
   SelfRefinement refinement(model_, config_, &pool);
-  AuMask description = GreedyDescription(sample);
+  const data::VideoSample* one[] = {&sample};
+  const vlm::Perception perception = model_->Perceive(one);
+  AuMask description = GreedyDescriptions(perception).front();
   // No ground truth at test time: only the faithfulness gate applies.
   const auto outcome =
       refinement.RefineDescription(sample, description, /*true_label=*/-1,
@@ -202,10 +216,13 @@ ChainOutput ChainPipeline::RunWithTestTimeRefinement(
   ChainOutput out;
   out.describe.mask = description;
   out.describe.text = text::RenderDescription(description);
-  out.assess = model_->Assess(sample, description, 0.0, nullptr);
-  out.highlight = model_->Highlight(sample, description, out.assess.label,
-                                    config_.rationale_length,
-                                    config_.highlight_temperature, rng);
+  out.assess = model_
+                   ->AssessBatch(perception, {&description, 1},
+                                 /*temperature=*/0.0, {})
+                   .front();
+  out.highlight = HighlightOne(*model_, perception, description,
+                               out.assess.label, config_.rationale_length,
+                               config_.highlight_temperature, rng);
   return out;
 }
 

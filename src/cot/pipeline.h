@@ -41,9 +41,12 @@ class ChainPipeline {
 
   // ---- Batched inference ----
   //
-  // Stage-wise chain execution: one Describe forward, one Assess forward,
-  // one Highlight forward for the whole batch instead of three per sample.
-  // Entry i of every batched result is bit-identical to the corresponding
+  // Stage-wise chain execution over one perception per call
+  // (`FoundationModel::Perceive`: one vision encode of the uncached clips,
+  // one trunk pass, one describe-head pass). Describe reads the greedy
+  // mask and its log-prob from the perceived logits; Assess and Highlight
+  // each run one head forward on the perceived trunk rows. Entry i of
+  // every batched result is bit-identical to the corresponding
   // single-sample call (the singles above are batch-of-1 delegations).
 
   /// Batched chain runs. `rngs` holds one highlight stream per sample
@@ -89,7 +92,8 @@ class ChainPipeline {
       const data::VideoSample& sample) const;
 
   /// Chain run with an in-context example (Sec. IV-F): the example's label
-  /// and (normalized) similarity shift the assessment.
+  /// and (normalized) similarity shift the assessment. One perception
+  /// feeds all three steps.
   ChainOutput RunWithExample(const data::VideoSample& sample,
                              int example_label, double similarity,
                              Rng* rng) const;
@@ -97,7 +101,8 @@ class ChainPipeline {
   /// Test-time self-refinement for frozen (off-the-shelf) models
   /// (Sec. IV-G): reflect on the description without ground truth, keep the
   /// new description only when self-verification finds it more faithful,
-  /// then reassess. `pool` supplies verification negatives.
+  /// then reassess. `pool` supplies verification negatives. The final
+  /// Assess and Highlight reuse the perception of the initial Describe.
   ChainOutput RunWithTestTimeRefinement(const data::VideoSample& sample,
                                         const data::Dataset& pool,
                                         Rng* rng) const;
@@ -106,12 +111,10 @@ class ChainPipeline {
   const vlm::FoundationModel& model() const { return *model_; }
 
  private:
-  /// Greedy description: AUs with p > 0.5 (empty when chain is off).
-  face::AuMask GreedyDescription(const data::VideoSample& sample) const;
-  /// Batched greedy descriptions (all empty when chain is off, in which
-  /// case the describe head is not queried at all).
-  std::vector<face::AuMask> GreedyDescriptionBatch(
-      vlm::FoundationModel::SampleSpan batch) const;
+  /// Greedy descriptions: AUs with p > 0.5 under the perceived describe
+  /// logits (all empty when chain is off).
+  std::vector<face::AuMask> GreedyDescriptions(
+      const vlm::Perception& perception) const;
 
   const vlm::FoundationModel* model_;
   ChainConfig config_;

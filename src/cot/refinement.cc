@@ -21,10 +21,16 @@ SelfRefinement::SelfRefinement(const vlm::FoundationModel* model,
 double SelfRefinement::Helpfulness(const data::VideoSample& sample,
                                    const AuMask& description, int true_label,
                                    Rng* rng) const {
+  // One forward over K copies; AssessBatch draws from the shared `rng` in
+  // index order, exactly as K sequential Assess calls would.
+  const std::vector<const data::VideoSample*> copies(config_.k_repeats,
+                                                     &sample);
+  const std::vector<AuMask> descriptions(config_.k_repeats, description);
+  const std::vector<Rng*> rngs(config_.k_repeats, rng);
   int correct = 0;
-  for (int k = 0; k < config_.k_repeats; ++k) {
-    const auto result = model_->Assess(
-        sample, description, config_.assess_sample_temperature, rng);
+  for (const auto& result :
+       model_->AssessBatch(copies, descriptions,
+                           config_.assess_sample_temperature, rngs)) {
     correct += (result.label == true_label);
   }
   return static_cast<double>(correct) / config_.k_repeats;

@@ -20,16 +20,27 @@ using face::kNumAus;
 using nn::Var;
 using tensor::Tensor;
 
+namespace {
+
+int TrunkWidth(const FoundationModelConfig& config) {
+  return config.hidden_dim + 2 * config.vision_dim;
+}
+
+}  // namespace
+
 FoundationModel::FoundationModel(const FoundationModelConfig& config)
     : config_(config),
+      trunk_forward_([this](nn::graph::GraphBuilder* builder, int n) {
+        return BuildTrunkGraph(builder, n);
+      }),
       describe_forward_([this](nn::graph::GraphBuilder* builder, int n) {
-        return BuildDescribeGraph(builder, n);
+        return BuildDescribeHeadGraph(builder, n);
       }),
       assess_forward_([this](nn::graph::GraphBuilder* builder, int n) {
-        return BuildAssessGraph(builder, n);
+        return BuildAssessHeadGraph(builder, n);
       }),
       highlight_forward_([this](nn::graph::GraphBuilder* builder, int n) {
-        return BuildHighlightGraph(builder, n);
+        return BuildHighlightHeadGraph(builder, n);
       }) {
   Rng rng(config.seed);
   vision_ = std::make_shared<VisionTower>(config.vision_dim, &rng);
@@ -37,7 +48,7 @@ FoundationModel::FoundationModel(const FoundationModelConfig& config)
                                         config.hidden_dim, &rng);
   // The trunk is residual: heads see [GELU(W f), f], so the nonlinear
   // features never bottleneck the raw video representation.
-  const int trunk_out = config.hidden_dim + 2 * config.vision_dim;
+  const int trunk_out = TrunkWidth(config);
   describe_head_ = std::make_shared<nn::Linear>(trunk_out, kNumAus, &rng);
   au_embed_ = std::make_shared<nn::Linear>(kNumAus, config.au_feature_dim,
                                            &rng);
@@ -113,6 +124,7 @@ void FoundationModel::PrecomputeFeatures(const data::Dataset& dataset) {
 void FoundationModel::ClearFeatureCache() { feature_cache_.clear(); }
 
 void FoundationModel::InvalidateCompiledGraphs() {
+  trunk_forward_.Clear();
   describe_forward_.Clear();
   assess_forward_.Clear();
   highlight_forward_.Clear();
@@ -129,13 +141,14 @@ Var FoundationModel::DescribeLogitsVar(const Var& hidden) const {
 }
 
 Var FoundationModel::AssessLogitsVar(const Var& hidden,
+                                     const Var& describe_logits,
                                      const Var& description_rows) const {
   Var au_feat = au_embed_->Forward(description_rows);
   // The assess step re-reads the model's own facial-action posterior (the
   // soft form of the Describe output) alongside the discrete description
   // text E — the structured analogue of a VLM attending to its generated
   // reasoning step.
-  Var describe_posterior = ag::SigmoidV(DescribeLogitsVar(hidden));
+  Var describe_posterior = ag::SigmoidV(describe_logits);
   return assess_head_->Forward(
       ag::Concat(ag::Concat(hidden, describe_posterior), au_feat));
 }
@@ -161,15 +174,6 @@ double FoundationModel::EffectiveBias(const AuMask& description) const {
   return config_.assess_margin_bias;
 }
 
-Var FoundationModel::HiddenFor(const data::VideoSample& sample) const {
-  const data::VideoSample* one[] = {&sample};
-  return HiddenForBatch(one);
-}
-
-Var FoundationModel::HiddenForBatch(SampleSpan batch) const {
-  return TrunkForward(Var(VideoFeatureRows(batch)));
-}
-
 Var FoundationModel::MaskRows(const std::vector<AuMask>& masks) {
   Tensor rows({static_cast<int>(masks.size()), kNumAus});
   for (size_t i = 0; i < masks.size(); ++i) {
@@ -191,47 +195,17 @@ Var FoundationModel::OneHotRows(const std::vector<int>& labels,
   return Var(rows);
 }
 
-int FoundationModel::BuildTrunkGraph(nn::graph::GraphBuilder* builder,
-                                     int features) const {
-  return builder->Concat(
-      builder->Gelu(trunk_->BuildGraph(builder, features)), features);
-}
-
-int FoundationModel::BuildDescribeGraph(nn::graph::GraphBuilder* builder,
-                                        int n) const {
-  const int features = builder->Input({n, 2 * config_.vision_dim});
-  return describe_head_->BuildGraph(builder,
-                                    BuildTrunkGraph(builder, features));
-}
-
-int FoundationModel::BuildAssessGraph(nn::graph::GraphBuilder* builder,
-                                      int n) const {
-  const int features = builder->Input({n, 2 * config_.vision_dim});
-  const int masks = builder->Input({n, kNumAus});
-  const int hidden = BuildTrunkGraph(builder, features);
-  const int au_feat = au_embed_->BuildGraph(builder, masks);
-  const int posterior =
-      builder->Sigmoid(describe_head_->BuildGraph(builder, hidden));
-  return assess_head_->BuildGraph(
-      builder, builder->Concat(builder->Concat(hidden, posterior), au_feat));
-}
-
-int FoundationModel::BuildHighlightGraph(nn::graph::GraphBuilder* builder,
-                                         int n) const {
-  const int features = builder->Input({n, 2 * config_.vision_dim});
-  const int masks = builder->Input({n, kNumAus});
-  const int onehot = builder->Input({n, 2});
-  const int hidden = BuildTrunkGraph(builder, features);
-  const int au_feat = au_embed_->BuildGraph(builder, masks);
-  return highlight_head_->BuildGraph(
-      builder, builder->Concat(builder->Concat(hidden, au_feat), onehot));
-}
-
 namespace {
 
 // The fill helpers write EVERY slot: executor arenas are reused across
 // executions, so any skipped slot would read a stale value from the
 // previous batch.
+
+void FillInput(const nn::graph::CompiledForward::Lease& lease, int index,
+               const Tensor& rows) {
+  std::memcpy(lease->InputData(index), rows.data(),
+              static_cast<size_t>(rows.size()) * sizeof(float));
+}
 
 void FillMaskRows(std::span<const AuMask> masks, float* dst) {
   for (size_t i = 0; i < masks.size(); ++i) {
@@ -261,55 +235,104 @@ Tensor CopyOutput(const nn::graph::CompiledForward::Lease& lease, int n,
 
 }  // namespace
 
-Tensor FoundationModel::DescribeLogits(const Tensor& features) const {
+int FoundationModel::BuildTrunkGraph(nn::graph::GraphBuilder* builder,
+                                     int n) const {
+  const int features = builder->Input({n, 2 * config_.vision_dim});
+  return builder->Concat(
+      builder->Gelu(trunk_->BuildGraph(builder, features)), features);
+}
+
+int FoundationModel::BuildDescribeHeadGraph(nn::graph::GraphBuilder* builder,
+                                            int n) const {
+  return describe_head_->BuildGraph(
+      builder, builder->Input({n, TrunkWidth(config_)}));
+}
+
+int FoundationModel::BuildAssessHeadGraph(nn::graph::GraphBuilder* builder,
+                                          int n) const {
+  const int hidden = builder->Input({n, TrunkWidth(config_)});
+  const int describe_logits = builder->Input({n, kNumAus});
+  const int masks = builder->Input({n, kNumAus});
+  const int au_feat = au_embed_->BuildGraph(builder, masks);
+  const int posterior = builder->Sigmoid(describe_logits);
+  return assess_head_->BuildGraph(
+      builder, builder->Concat(builder->Concat(hidden, posterior), au_feat));
+}
+
+int FoundationModel::BuildHighlightHeadGraph(
+    nn::graph::GraphBuilder* builder, int n) const {
+  const int hidden = builder->Input({n, TrunkWidth(config_)});
+  const int masks = builder->Input({n, kNumAus});
+  const int onehot = builder->Input({n, 2});
+  const int au_feat = au_embed_->BuildGraph(builder, masks);
+  return highlight_head_->BuildGraph(
+      builder, builder->Concat(builder->Concat(hidden, au_feat), onehot));
+}
+
+Perception FoundationModel::Perceive(SampleSpan batch) const {
+  return Perceive(VideoFeatureRows(batch));
+}
+
+Perception FoundationModel::Perceive(Tensor features) const {
+  Perception perception;
   const int n = features.dim(0);
   if (n > 0 && nn::graph::GraphExecEnabled()) {
+    {
+      nn::graph::CompiledForward::Lease lease = trunk_forward_.Acquire(n);
+      FillInput(lease, 0, features);
+      lease->Execute();
+      perception.hidden = CopyOutput(lease, n, TrunkWidth(config_));
+    }
     nn::graph::CompiledForward::Lease lease = describe_forward_.Acquire(n);
-    std::memcpy(lease->InputData(0), features.data(),
-                static_cast<size_t>(features.size()) * sizeof(float));
+    FillInput(lease, 0, perception.hidden);
     lease->Execute();
-    return CopyOutput(lease, n, kNumAus);
+    perception.describe_logits = CopyOutput(lease, n, kNumAus);
+  } else {
+    const Var hidden = TrunkForward(Var(features));
+    perception.hidden = hidden.value();
+    perception.describe_logits = DescribeLogitsVar(hidden).value();
   }
-  return DescribeLogitsVar(TrunkForward(Var(features))).value();
+  perception.features = std::move(features);
+  return perception;
 }
 
 Tensor FoundationModel::AssessLogits(
-    const Tensor& features, std::span<const AuMask> descriptions) const {
-  const int n = features.dim(0);
+    const Perception& perception,
+    std::span<const AuMask> descriptions) const {
+  const int n = perception.size();
   VSD_CHECK(static_cast<int>(descriptions.size()) == n)
       << "AssessLogits description mismatch";
   if (n > 0 && nn::graph::GraphExecEnabled()) {
     nn::graph::CompiledForward::Lease lease = assess_forward_.Acquire(n);
-    std::memcpy(lease->InputData(0), features.data(),
-                static_cast<size_t>(features.size()) * sizeof(float));
-    FillMaskRows(descriptions, lease->InputData(1));
+    FillInput(lease, 0, perception.hidden);
+    FillInput(lease, 1, perception.describe_logits);
+    FillMaskRows(descriptions, lease->InputData(2));
     lease->Execute();
     return CopyOutput(lease, n, 2);
   }
   return AssessLogitsVar(
-             TrunkForward(Var(features)),
+             Var(perception.hidden), Var(perception.describe_logits),
              MaskRows({descriptions.begin(), descriptions.end()}))
       .value();
 }
 
 Tensor FoundationModel::HighlightLogits(
-    const Tensor& features, std::span<const AuMask> descriptions,
+    const Perception& perception, std::span<const AuMask> descriptions,
     std::span<const int> assessments) const {
-  const int n = features.dim(0);
+  const int n = perception.size();
   VSD_CHECK(static_cast<int>(descriptions.size()) == n &&
             static_cast<int>(assessments.size()) == n)
       << "HighlightLogits input mismatch";
   if (n > 0 && nn::graph::GraphExecEnabled()) {
     nn::graph::CompiledForward::Lease lease = highlight_forward_.Acquire(n);
-    std::memcpy(lease->InputData(0), features.data(),
-                static_cast<size_t>(features.size()) * sizeof(float));
+    FillInput(lease, 0, perception.hidden);
     FillMaskRows(descriptions, lease->InputData(1));
     FillOneHotRows(assessments, 2, lease->InputData(2));
     lease->Execute();
     return CopyOutput(lease, n, kNumAus);
   }
   return HighlightLogitsVar(
-             TrunkForward(Var(features)),
+             Var(perception.hidden),
              MaskRows({descriptions.begin(), descriptions.end()}),
              OneHotRows({assessments.begin(), assessments.end()}, 2))
       .value();
@@ -323,12 +346,17 @@ std::vector<double> FoundationModel::DescribeProbs(
 
 std::vector<std::vector<double>> FoundationModel::DescribeProbsBatch(
     SampleSpan batch) const {
-  const Tensor logits = DescribeLogits(VideoFeatureRows(batch));
-  std::vector<std::vector<double>> probs(batch.size(),
-                                         std::vector<double>(kNumAus));
-  for (size_t i = 0; i < batch.size(); ++i) {
+  return DescribeProbsBatch(Perceive(batch));
+}
+
+std::vector<std::vector<double>> FoundationModel::DescribeProbsBatch(
+    const Perception& perception) const {
+  const Tensor& logits = perception.describe_logits;
+  const int n = perception.size();
+  std::vector<std::vector<double>> probs(n, std::vector<double>(kNumAus));
+  for (int i = 0; i < n; ++i) {
     for (int j = 0; j < kNumAus; ++j) {
-      probs[i][j] = vsd::Sigmoid(logits.at(static_cast<int>(i), j));
+      probs[i][j] = vsd::Sigmoid(logits.at(i, j));
     }
   }
   return probs;
@@ -344,14 +372,22 @@ DescribeResult FoundationModel::Describe(const data::VideoSample& sample,
 
 std::vector<DescribeResult> FoundationModel::DescribeBatch(
     SampleSpan batch, double temperature, std::span<Rng* const> rngs) const {
-  VSD_CHECK(rngs.size() == batch.size()) << "DescribeBatch rng mismatch";
-  const Tensor logits = DescribeLogits(VideoFeatureRows(batch));
+  return DescribeBatch(Perceive(batch), temperature, rngs);
+}
+
+std::vector<DescribeResult> FoundationModel::DescribeBatch(
+    const Perception& perception, double temperature,
+    std::span<Rng* const> rngs) const {
+  const int n = perception.size();
+  VSD_CHECK(static_cast<int>(rngs.size()) == n)
+      << "DescribeBatch rng mismatch";
+  const Tensor& logits = perception.describe_logits;
   const double t = std::max(temperature, 1e-3);
-  std::vector<DescribeResult> results(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
+  std::vector<DescribeResult> results(n);
+  for (int i = 0; i < n; ++i) {
     DescribeResult& result = results[i];
     for (int j = 0; j < kNumAus; ++j) {
-      const double z = logits.at(static_cast<int>(i), j);
+      const double z = logits.at(i, j);
       const bool active = rngs[i]->Bernoulli(vsd::Sigmoid(z / t));
       result.mask[j] = active;
       // Likelihood is reported at the model's native temperature (T=1).
@@ -373,13 +409,19 @@ double FoundationModel::DescriptionLogProb(const data::VideoSample& sample,
 
 std::vector<double> FoundationModel::DescriptionLogProbBatch(
     SampleSpan batch, std::span<const AuMask> masks) const {
-  VSD_CHECK(masks.size() == batch.size())
+  return DescriptionLogProbBatch(Perceive(batch), masks);
+}
+
+std::vector<double> FoundationModel::DescriptionLogProbBatch(
+    const Perception& perception, std::span<const AuMask> masks) const {
+  const int n = perception.size();
+  VSD_CHECK(static_cast<int>(masks.size()) == n)
       << "DescriptionLogProbBatch mask mismatch";
-  const Tensor logits = DescribeLogits(VideoFeatureRows(batch));
-  std::vector<double> log_probs(batch.size(), 0.0);
-  for (size_t i = 0; i < batch.size(); ++i) {
+  const Tensor& logits = perception.describe_logits;
+  std::vector<double> log_probs(n, 0.0);
+  for (int i = 0; i < n; ++i) {
     for (int j = 0; j < kNumAus; ++j) {
-      const double z = logits.at(static_cast<int>(i), j);
+      const double z = logits.at(i, j);
       log_probs[i] += masks[i][j]
                           ? std::log(std::max(vsd::Sigmoid(z), 1e-12))
                           : std::log(std::max(vsd::Sigmoid(-z), 1e-12));
@@ -400,15 +442,19 @@ AssessResult FoundationModel::Assess(const data::VideoSample& sample,
 std::vector<AssessResult> FoundationModel::AssessBatch(
     SampleSpan batch, std::span<const AuMask> descriptions,
     double temperature, std::span<Rng* const> rngs) const {
-  VSD_CHECK(descriptions.size() == batch.size())
-      << "AssessBatch description mismatch";
-  VSD_CHECK(rngs.empty() || rngs.size() == batch.size())
+  return AssessBatch(Perceive(batch), descriptions, temperature, rngs);
+}
+
+std::vector<AssessResult> FoundationModel::AssessBatch(
+    const Perception& perception, std::span<const AuMask> descriptions,
+    double temperature, std::span<Rng* const> rngs) const {
+  const int n = perception.size();
+  VSD_CHECK(rngs.empty() || static_cast<int>(rngs.size()) == n)
       << "AssessBatch rng mismatch";
-  const Tensor logits = AssessLogits(VideoFeatureRows(batch), descriptions);
-  std::vector<AssessResult> results(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const int row = static_cast<int>(i);
-    const double margin = logits.at(row, 1) - logits.at(row, 0) +
+  const Tensor logits = AssessLogits(perception, descriptions);
+  std::vector<AssessResult> results(n);
+  for (int i = 0; i < n; ++i) {
+    const double margin = logits.at(i, 1) - logits.at(i, 0) +
                           EffectiveBias(descriptions[i]);
     AssessResult& result = results[i];
     result.prob_stressed = vsd::Sigmoid(margin);
@@ -433,13 +479,17 @@ double FoundationModel::AssessProbStressed(
 
 std::vector<double> FoundationModel::AssessProbStressedBatch(
     SampleSpan batch, std::span<const AuMask> descriptions) const {
-  VSD_CHECK(descriptions.size() == batch.size())
-      << "AssessProbStressedBatch description mismatch";
-  const Tensor logits = AssessLogits(VideoFeatureRows(batch), descriptions);
-  std::vector<double> probs(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const int row = static_cast<int>(i);
-    probs[i] = vsd::Sigmoid(logits.at(row, 1) - logits.at(row, 0) +
+  return AssessProbStressedBatch(Perceive(batch), descriptions);
+}
+
+std::vector<double> FoundationModel::AssessProbStressedBatch(
+    const Perception& perception,
+    std::span<const AuMask> descriptions) const {
+  const int n = perception.size();
+  const Tensor logits = AssessLogits(perception, descriptions);
+  std::vector<double> probs(n);
+  for (int i = 0; i < n; ++i) {
+    probs[i] = vsd::Sigmoid(logits.at(i, 1) - logits.at(i, 0) +
                             EffectiveBias(descriptions[i]));
   }
   return probs;
@@ -457,16 +507,9 @@ std::vector<double> FoundationModel::AssessProbStressedWithFramesBatch(
     std::span<const img::Image* const> expressive,
     std::span<const img::Image* const> neutral,
     const AuMask& description) const {
-  const int n = static_cast<int>(expressive.size());
-  const std::vector<AuMask> descriptions(expressive.size(), description);
-  const Tensor logits =
-      AssessLogits(vision_->EmbedPairs(expressive, neutral), descriptions);
-  std::vector<double> probs(expressive.size());
-  for (int i = 0; i < n; ++i) {
-    probs[i] = vsd::Sigmoid(logits.at(i, 1) - logits.at(i, 0) +
-                            EffectiveBias(description));
-  }
-  return probs;
+  return AssessProbStressedBatch(
+      Perceive(vision_->EmbedPairs(expressive, neutral)),
+      std::vector<AuMask>(expressive.size(), description));
 }
 
 std::vector<double> FoundationModel::AssessProbStressedWithFramesBatch(
@@ -488,23 +531,29 @@ std::vector<double> FoundationModel::AssessProbStressedWithFramesBatch(
       rows.at(i, dim + j) = encoded.at(n, j);
     }
   }
-  const std::vector<AuMask> descriptions(expressive.size(), description);
-  const Tensor logits = AssessLogits(rows, descriptions);
-  std::vector<double> probs(expressive.size());
-  for (int i = 0; i < n; ++i) {
-    probs[i] = vsd::Sigmoid(logits.at(i, 1) - logits.at(i, 0) +
-                            EffectiveBias(description));
-  }
-  return probs;
+  return AssessProbStressedBatch(
+      Perceive(std::move(rows)),
+      std::vector<AuMask>(expressive.size(), description));
 }
 
 AssessResult FoundationModel::AssessWithExample(
     const data::VideoSample& sample, const AuMask& description,
     int example_label, double similarity, double temperature,
     Rng* rng) const {
-  Var logits = AssessLogitsVar(HiddenFor(sample), MaskRows({description}));
-  double margin = logits.value().at(0, 1) - logits.value().at(0, 0) +
-                  EffectiveBias(description);
+  const data::VideoSample* one[] = {&sample};
+  return AssessWithExample(Perceive(one), description, example_label,
+                           similarity, temperature, rng);
+}
+
+AssessResult FoundationModel::AssessWithExample(
+    const Perception& perception, const AuMask& description,
+    int example_label, double similarity, double temperature,
+    Rng* rng) const {
+  VSD_CHECK(perception.size() == 1) << "AssessWithExample takes one video";
+  const AuMask descriptions[] = {description};
+  const Tensor logits = AssessLogits(perception, descriptions);
+  double margin =
+      logits.at(0, 1) - logits.at(0, 0) + EffectiveBias(description);
   // The in-context example shifts the decision toward its own label in
   // proportion to how similar it is to the query (Sec. IV-F): dissimilar
   // examples contribute near-zero shift (random retrieval ~ no example).
@@ -583,18 +632,23 @@ std::vector<HighlightResult> FoundationModel::HighlightBatch(
     SampleSpan batch, std::span<const AuMask> descriptions,
     std::span<const int> assessments, int top_m, double temperature,
     std::span<Rng* const> rngs) const {
-  VSD_CHECK(descriptions.size() == batch.size() &&
-            assessments.size() == batch.size())
-      << "HighlightBatch input mismatch";
-  VSD_CHECK(rngs.empty() || rngs.size() == batch.size())
+  return HighlightBatch(Perceive(batch), descriptions, assessments, top_m,
+                        temperature, rngs);
+}
+
+std::vector<HighlightResult> FoundationModel::HighlightBatch(
+    const Perception& perception, std::span<const AuMask> descriptions,
+    std::span<const int> assessments, int top_m, double temperature,
+    std::span<Rng* const> rngs) const {
+  const int n = perception.size();
+  VSD_CHECK(rngs.empty() || static_cast<int>(rngs.size()) == n)
       << "HighlightBatch rng mismatch";
-  const Tensor logits =
-      HighlightLogits(VideoFeatureRows(batch), descriptions, assessments);
+  const Tensor logits = HighlightLogits(perception, descriptions, assessments);
   std::vector<HighlightResult> results;
-  results.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    results.push_back(SampleRationale(logits, static_cast<int>(i),
-                                      descriptions[i], top_m, temperature,
+  results.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    results.push_back(SampleRationale(logits, i, descriptions[i], top_m,
+                                      temperature,
                                       rngs.empty() ? nullptr : rngs[i]));
   }
   return results;
@@ -603,8 +657,9 @@ std::vector<HighlightResult> FoundationModel::HighlightBatch(
 DescribeResult FoundationModel::ReflectDescribe(
     const data::VideoSample& sample, const AuMask& previous,
     int ground_truth_stress, double temperature, Rng* rng) const {
-  Var hidden = HiddenFor(sample);
-  Var logits = DescribeLogitsVar(hidden);
+  const data::VideoSample* one[] = {&sample};
+  const Perception perception = Perceive(one);
+  const Tensor& logits = perception.describe_logits;
 
   // Sensitivity of the model's own stress belief to each AU: toggling AU j
   // in the previous description and reading the assess-head margin. With
@@ -619,12 +674,10 @@ DescribeResult FoundationModel::ReflectDescribe(
       AuMask off = previous;
       on[j] = true;
       off[j] = false;
-      Var z_on = AssessLogitsVar(hidden, MaskRows({on}));
-      Var z_off = AssessLogitsVar(hidden, MaskRows({off}));
-      const double margin_on =
-          z_on.value().at(0, 1) - z_on.value().at(0, 0);
-      const double margin_off =
-          z_off.value().at(0, 1) - z_off.value().at(0, 0);
+      const Tensor z_on = AssessLogits(perception, {&on, 1});
+      const Tensor z_off = AssessLogits(perception, {&off, 1});
+      const double margin_on = z_on.at(0, 1) - z_on.at(0, 0);
+      const double margin_off = z_off.at(0, 1) - z_off.at(0, 0);
       tilt[j] = sign * (margin_on - margin_off);
     }
   }
@@ -634,7 +687,7 @@ DescribeResult FoundationModel::ReflectDescribe(
   const double t = std::max(temperature, 1e-3);
   DescribeResult result;
   for (int j = 0; j < kNumAus; ++j) {
-    double z = logits.value().at(0, j);
+    double z = logits.at(0, j);
     z += kAnchorStrength * (previous[j] ? 1.0 : -1.0);
     // Reflection reconsiders *uncertain* units: confident visual evidence
     // (large |z|) is not overridden by the outcome-driven tilt.
@@ -642,7 +695,7 @@ DescribeResult FoundationModel::ReflectDescribe(
     z += kTiltStrength * uncertainty * tilt[j];
     const bool active = rng->Bernoulli(vsd::Sigmoid(z / t));
     result.mask[j] = active;
-    const double z_model = logits.value().at(0, j);
+    const double z_model = logits.at(0, j);
     result.log_prob +=
         active ? std::log(std::max(vsd::Sigmoid(z_model), 1e-12))
                : std::log(std::max(vsd::Sigmoid(-z_model), 1e-12));
@@ -655,10 +708,9 @@ int FoundationModel::SelectVideoForDescription(
     const std::vector<const data::VideoSample*>& candidates,
     const AuMask& description, double temperature, Rng* rng) const {
   VSD_CHECK(!candidates.empty()) << "no candidate videos";
-  std::vector<double> log_probs(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    log_probs[i] = DescriptionLogProb(*candidates[i], description);
-  }
+  const std::vector<AuMask> masks(candidates.size(), description);
+  const std::vector<double> log_probs =
+      DescriptionLogProbBatch(candidates, masks);
   if (temperature <= 0.0 || rng == nullptr) {
     return vsd::ArgMax(log_probs);
   }
@@ -713,7 +765,8 @@ Var FoundationModel::AssessLoss(
     for (int j = 0; j < f.size(); ++j) rows.at(i, j) = f.at(j);
   }
   Var hidden = TrunkForward(Var(rows));
-  Var logits = AssessLogitsVar(hidden, MaskRows(descriptions));
+  Var logits = AssessLogitsVar(hidden, DescribeLogitsVar(hidden),
+                               MaskRows(descriptions));
   return ag::SoftmaxCrossEntropy(logits, labels);
 }
 

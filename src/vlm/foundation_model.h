@@ -51,6 +51,20 @@ struct HighlightResult {
   std::string text;
 };
 
+/// What the model perceives of a batch of videos: V of Eq. 1, computed
+/// once per batch by `FoundationModel::Perceive` and read by every chain
+/// step. Describe reads `describe_logits`, Assess reads `hidden` plus the
+/// posterior in `describe_logits`, Highlight reads `hidden`. Rows are
+/// independent, so row i is bit-identical to the batch-of-1 perception of
+/// sample i.
+struct Perception {
+  tensor::Tensor features;         ///< [N, 2*vision_dim] video features.
+  tensor::Tensor hidden;           ///< [N, hidden_dim + 2*vision_dim] trunk.
+  tensor::Tensor describe_logits;  ///< [N, kNumAus] describe-head logits.
+
+  int size() const { return features.dim(0); }
+};
+
 /// \brief The trainable generative vision-language model F.
 ///
 /// This class is the repo's stand-in for the fine-tuned Qwen-VL of the
@@ -105,11 +119,22 @@ class FoundationModel : public nn::Module {
   void PrecomputeFeatures(const data::Dataset& dataset);
   void ClearFeatureCache();
 
-  /// Drops every compiled head/encode graph so the next forward recompiles
-  /// against the parameters' current dtypes. Call after mutating parameter
-  /// storage in place (vlm/quantize.h); outstanding executor leases finish
-  /// on their old graphs and are discarded on release.
+  /// Drops every compiled trunk/head/encode graph so the next forward
+  /// recompiles against the parameters' current dtypes. Call after
+  /// mutating parameter storage in place (vlm/quantize.h); outstanding
+  /// executor leases finish on their old graphs and are discarded on
+  /// release.
   void InvalidateCompiledGraphs();
+
+  // ---- Perception ----
+
+  /// Perceives a batch: `VideoFeatureRows(batch)` (one EmbedPairs forward
+  /// over the cache misses), then one trunk pass and one describe-head
+  /// pass over all rows.
+  Perception Perceive(SampleSpan batch) const;
+  /// Perceives explicit [N, 2*vision_dim] feature rows, e.g. embeddings of
+  /// perturbed frames that no sample id names.
+  Perception Perceive(tensor::Tensor features) const;
 
   // ---- Differentiable internals (batched) ----
 
@@ -119,9 +144,11 @@ class FoundationModel : public nn::Module {
   nn::Var TrunkForward(const nn::Var& video_features) const;
   /// Describe head: hidden -> [N, kNumAus] presence logits.
   nn::Var DescribeLogitsVar(const nn::Var& hidden) const;
-  /// Assess head: trunk output + the model's own describe posterior +
-  /// description mask rows [N,kNumAus] -> [N,2].
+  /// Assess head: trunk output + the model's own describe posterior
+  /// (sigmoid of `describe_logits`, the describe head's output on
+  /// `hidden`) + description mask rows [N,kNumAus] -> [N,2].
   nn::Var AssessLogitsVar(const nn::Var& hidden,
+                          const nn::Var& describe_logits,
                           const nn::Var& description_rows) const;
   /// Highlight head: hidden + description + assessment one-hot -> [N,12].
   nn::Var HighlightLogitsVar(const nn::Var& hidden,
@@ -169,6 +196,11 @@ class FoundationModel : public nn::Module {
                                  const face::AuMask& description,
                                  int example_label, double similarity,
                                  double temperature, Rng* rng) const;
+  /// AssessWithExample on a batch-of-1 perception.
+  AssessResult AssessWithExample(const Perception& perception,
+                                 const face::AuMask& description,
+                                 int example_label, double similarity,
+                                 double temperature, Rng* rng) const;
 
   /// Samples a rationale: ranks AUs by the saliency head via Plackett-Luce
   /// sampling restricted to the described set (falls back to all AUs when
@@ -194,37 +226,55 @@ class FoundationModel : public nn::Module {
 
   // ---- Inference (batched) ----
   //
-  // One trunk/head forward per batch instead of per sample. Every op in
-  // the forward path computes output row i from input row i alone, so
-  // entry i of each batched result is bit-identical to the corresponding
-  // single-sample call — the single-sample methods above are literally
-  // batch-of-1 delegations. Sampling methods take one Rng per sample so
-  // the draw sequence per sample matches the sequential path exactly.
-
-  /// Batched trunk forward over `VideoFeatureRows(batch)`.
-  nn::Var HiddenForBatch(SampleSpan batch) const;
+  // One perception per batch instead of per sample, and per chain rather
+  // than per step: each head below has an overload that reads a
+  // `Perception`, and the `SampleSpan` overload is `Perceive(batch)`
+  // followed by it. Every op in the forward path computes output row i
+  // from input row i alone, so entry i of each batched result is
+  // bit-identical to the corresponding single-sample call — the
+  // single-sample methods above are literally batch-of-1 delegations.
+  // Sampling methods take one Rng per sample so the draw sequence per
+  // sample matches the sequential path exactly.
 
   /// Per-AU activation probabilities for each sample.
   std::vector<std::vector<double>> DescribeProbsBatch(SampleSpan batch) const;
+  std::vector<std::vector<double>> DescribeProbsBatch(
+      const Perception& perception) const;
 
   /// Samples one description per sample from `rngs[i]` (all non-null).
   std::vector<DescribeResult> DescribeBatch(SampleSpan batch,
+                                            double temperature,
+                                            std::span<Rng* const> rngs) const;
+  std::vector<DescribeResult> DescribeBatch(const Perception& perception,
                                             double temperature,
                                             std::span<Rng* const> rngs) const;
 
   /// Exact log p_F(E_i | V_i, I1) for each (sample, mask) pair.
   std::vector<double> DescriptionLogProbBatch(
       SampleSpan batch, std::span<const face::AuMask> masks) const;
+  std::vector<double> DescriptionLogProbBatch(
+      const Perception& perception,
+      std::span<const face::AuMask> masks) const;
 
   /// Batched Assess. `rngs` is either empty (greedy for every sample, the
-  /// `rng == nullptr` single-sample path) or one entry per sample.
+  /// `rng == nullptr` single-sample path) or one entry per sample. Entries
+  /// may alias one stream: draws are made in index order, so K copies of
+  /// one sample with K copies of one `rng` draw exactly what K sequential
+  /// `Assess` calls would.
   std::vector<AssessResult> AssessBatch(
       SampleSpan batch, std::span<const face::AuMask> descriptions,
       double temperature, std::span<Rng* const> rngs) const;
+  std::vector<AssessResult> AssessBatch(
+      const Perception& perception,
+      std::span<const face::AuMask> descriptions, double temperature,
+      std::span<Rng* const> rngs) const;
 
   /// p_F(A_i = stressed | V_i, E_i, I2) for each sample.
   std::vector<double> AssessProbStressedBatch(
       SampleSpan batch, std::span<const face::AuMask> descriptions) const;
+  std::vector<double> AssessProbStressedBatch(
+      const Perception& perception,
+      std::span<const face::AuMask> descriptions) const;
 
   /// Batched AssessProbStressedWithFrames over N explicit frame pairs.
   std::vector<double> AssessProbStressedWithFramesBatch(
@@ -243,6 +293,11 @@ class FoundationModel : public nn::Module {
   /// Plackett-Luce sampling from `rngs[i]` (empty = greedy for all).
   std::vector<HighlightResult> HighlightBatch(
       SampleSpan batch, std::span<const face::AuMask> descriptions,
+      std::span<const int> assessments, int top_m, double temperature,
+      std::span<Rng* const> rngs) const;
+  std::vector<HighlightResult> HighlightBatch(
+      const Perception& perception,
+      std::span<const face::AuMask> descriptions,
       std::span<const int> assessments, int top_m, double temperature,
       std::span<Rng* const> rngs) const;
 
@@ -299,6 +354,25 @@ class FoundationModel : public nn::Module {
       const std::string& instruction, const std::string& context,
       double temperature, Rng* rng) const;
 
+  // ---- Graph lowering ----
+  //
+  // The compiled forwards behind Perceive and the Perception-reading heads
+  // are built from these (one graph per batch size `n`; each returns its
+  // output node). The head graphs take trunk rows as input, so the trunk
+  // runs once per perception, not once per head. Public so tests can
+  // execute the model's own graphs directly.
+
+  /// Lowers TrunkForward: features input -> trunk rows.
+  int BuildTrunkGraph(nn::graph::GraphBuilder* builder, int n) const;
+  /// Trunk-rows input -> describe logits.
+  int BuildDescribeHeadGraph(nn::graph::GraphBuilder* builder, int n) const;
+  /// Inputs: trunk rows, describe logits, description masks -> assess
+  /// logits.
+  int BuildAssessHeadGraph(nn::graph::GraphBuilder* builder, int n) const;
+  /// Inputs: trunk rows, description masks, assessment one-hots ->
+  /// highlight logits.
+  int BuildHighlightHeadGraph(nn::graph::GraphBuilder* builder, int n) const;
+
   // ---- Parameters ----
 
   std::vector<nn::Var> Parameters() const override;
@@ -311,33 +385,24 @@ class FoundationModel : public nn::Module {
   /// the assessment is conditioned on an explicit description.
   double EffectiveBias(const face::AuMask& description) const;
 
-  nn::Var HiddenFor(const data::VideoSample& sample) const;
   static nn::Var MaskRows(const std::vector<face::AuMask>& masks);
   static nn::Var OneHotRows(const std::vector<int>& labels, int classes);
 
-  // ---- Compiled head forwards ----
+  // ---- Compiled forwards ----
   //
-  // The batched inference methods route through these Tensor-returning
-  // helpers, which dispatch to a compiled graph when
+  // Perceive and the Perception-reading heads route through these
+  // Tensor-returning helpers, which dispatch to a compiled graph when
   // `nn::graph::GraphExecEnabled()` and to the eager Var composition
   // otherwise. Both paths run the kernels in tensor/kernels.h, so the
-  // logits are bit-identical; training losses always stay eager (they
+  // results are bit-identical; training losses always stay eager (they
   // need gradients).
 
-  /// Lowers TrunkForward onto a graph: features node -> hidden node.
-  int BuildTrunkGraph(nn::graph::GraphBuilder* builder, int features) const;
-  int BuildDescribeGraph(nn::graph::GraphBuilder* builder, int n) const;
-  int BuildAssessGraph(nn::graph::GraphBuilder* builder, int n) const;
-  int BuildHighlightGraph(nn::graph::GraphBuilder* builder, int n) const;
-
-  /// [N,kNumAus] describe logits for [N,2*vision_dim] feature rows.
-  tensor::Tensor DescribeLogits(const tensor::Tensor& features) const;
   /// [N,2] assess logits given per-sample description masks.
   tensor::Tensor AssessLogits(
-      const tensor::Tensor& features,
+      const Perception& perception,
       std::span<const face::AuMask> descriptions) const;
   /// [N,kNumAus] highlight logits given descriptions and assessments.
-  tensor::Tensor HighlightLogits(const tensor::Tensor& features,
+  tensor::Tensor HighlightLogits(const Perception& perception,
                                  std::span<const face::AuMask> descriptions,
                                  std::span<const int> assessments) const;
 
@@ -351,8 +416,10 @@ class FoundationModel : public nn::Module {
 
   mutable std::unordered_map<int, tensor::Tensor> feature_cache_;
 
-  /// Per-batch-size compiled graphs for the three inference heads, with
-  /// pooled executors for concurrent callers (explainer ThreadPool loops).
+  /// Per-batch-size compiled graphs for the trunk and the three heads,
+  /// with pooled executors for concurrent callers (explainer ThreadPool
+  /// loops).
+  mutable nn::graph::CompiledForward trunk_forward_;
   mutable nn::graph::CompiledForward describe_forward_;
   mutable nn::graph::CompiledForward assess_forward_;
   mutable nn::graph::CompiledForward highlight_forward_;

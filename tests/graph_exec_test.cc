@@ -12,8 +12,12 @@
 //     leak values from the previous batch.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -114,43 +118,84 @@ class GraphExecTest : public ::testing::TestWithParam<std::tuple<int, int>> {
   }
 };
 
-TEST_P(GraphExecTest, PipelinePredictionsCompiledMatchEager) {
-  ModelWorld world;
-  cot::ChainConfig chain;
-  cot::ChainPipeline pipeline(&world.model, chain);
-  const auto samples = world.Pointers(world.dataset.size());
+/// Everything the pipeline answers for one batch, in one execution mode.
+struct PipelineOutputs {
+  std::vector<double> probs;
+  std::vector<int> labels;
+  std::vector<vsd::Result<double>> tried;
+  std::vector<cot::ChainOutput> chains;
+};
 
-  std::vector<double> eager_probs;
-  std::vector<int> eager_labels;
-  std::vector<std::string> eager_transcripts;
-  {
-    GraphModeGuard eager(false);
-    eager_probs = pipeline.PredictBatch(samples);
-    eager_labels = pipeline.PredictLabelBatch(samples);
-    std::vector<Rng> rngs;
-    rngs.reserve(samples.size());
-    for (size_t i = 0; i < samples.size(); ++i) rngs.emplace_back(900 + i);
-    std::vector<Rng*> rng_ptrs;
-    for (auto& rng : rngs) rng_ptrs.push_back(&rng);
-    for (const auto& output : pipeline.RunBatch(samples, rng_ptrs)) {
-      eager_transcripts.push_back(output.Transcript());
-    }
-  }
-
-  GraphModeGuard compiled(true);
-  EXPECT_EQ(pipeline.PredictBatch(samples), eager_probs);
-  EXPECT_EQ(pipeline.PredictLabelBatch(samples), eager_labels);
+PipelineOutputs RunPipeline(const cot::ChainPipeline& pipeline,
+                            vlm::FoundationModel::SampleSpan samples) {
+  PipelineOutputs out;
+  out.probs = pipeline.PredictBatch(samples);
+  out.labels = pipeline.PredictLabelBatch(samples);
+  out.tried = pipeline.TryPredictBatch(samples);
   std::vector<Rng> rngs;
   rngs.reserve(samples.size());
   for (size_t i = 0; i < samples.size(); ++i) rngs.emplace_back(900 + i);
   std::vector<Rng*> rng_ptrs;
   for (auto& rng : rngs) rng_ptrs.push_back(&rng);
-  const std::vector<cot::ChainOutput> outputs =
-      pipeline.RunBatch(samples, rng_ptrs);
-  ASSERT_EQ(outputs.size(), eager_transcripts.size());
-  for (size_t i = 0; i < outputs.size(); ++i) {
-    EXPECT_EQ(outputs[i].Transcript(), eager_transcripts[i])
-        << "sample " << i;
+  out.chains = pipeline.RunBatch(samples, rng_ptrs);
+  return out;
+}
+
+/// Bitwise double equality (EXPECT_EQ would equate 0.0 and -0.0).
+void ExpectSameBits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+      << what << ": " << a << " vs " << b;
+}
+
+void ExpectPipelineOutputsIdentical(const PipelineOutputs& a,
+                                    const PipelineOutputs& b) {
+  ASSERT_EQ(a.probs.size(), b.probs.size());
+  ASSERT_EQ(a.tried.size(), b.tried.size());
+  ASSERT_EQ(a.chains.size(), b.chains.size());
+  EXPECT_EQ(a.labels, b.labels);
+  for (size_t i = 0; i < a.probs.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    ExpectSameBits(a.probs[i], b.probs[i], "PredictBatch");
+    ASSERT_TRUE(a.tried[i].ok() && b.tried[i].ok());
+    ExpectSameBits(a.tried[i].value(), b.tried[i].value(), "TryPredictBatch");
+    const cot::ChainOutput& x = a.chains[i];
+    const cot::ChainOutput& y = b.chains[i];
+    EXPECT_EQ(x.describe.mask, y.describe.mask);
+    EXPECT_EQ(x.describe.text, y.describe.text);
+    ExpectSameBits(x.describe.log_prob, y.describe.log_prob,
+                   "describe.log_prob");
+    EXPECT_EQ(x.assess.label, y.assess.label);
+    ExpectSameBits(x.assess.prob_stressed, y.assess.prob_stressed,
+                   "assess.prob_stressed");
+    EXPECT_EQ(x.assess.text, y.assess.text);
+    EXPECT_EQ(x.highlight.ranked_aus, y.highlight.ranked_aus);
+    EXPECT_EQ(x.highlight.text, y.highlight.text);
+  }
+}
+
+TEST_P(GraphExecTest, PipelinePredictionsCompiledMatchEager) {
+  // Cached and uncached features (uncached is the path serving and the
+  // chain's Fig. 6 explanation run: the clip is encoded inside the call),
+  // with the chain on and off ("w/o Chain" still reads the describe
+  // logits for Assess's posterior and reports a log-prob).
+  ModelWorld world;
+  const auto samples = world.Pointers(world.dataset.size());
+  for (const bool cached : {true, false}) {
+    if (!cached) world.model.ClearFeatureCache();
+    for (const bool use_chain : {true, false}) {
+      SCOPED_TRACE(std::string(cached ? "cached" : "uncached") +
+                   (use_chain ? ", chain" : ", w/o chain"));
+      cot::ChainConfig chain;
+      chain.use_chain = use_chain;
+      const cot::ChainPipeline pipeline(&world.model, chain);
+      PipelineOutputs eager;
+      {
+        GraphModeGuard mode(false);
+        eager = RunPipeline(pipeline, samples);
+      }
+      GraphModeGuard mode(true);
+      ExpectPipelineOutputsIdentical(RunPipeline(pipeline, samples), eager);
+    }
   }
 }
 
@@ -396,46 +441,62 @@ TEST(GraphAllocTest, CountingAllocatorIsLinkedIn) {
   EXPECT_GE(after, before + 1);
 }
 
+/// Warms `forward` up at batch `n` (compiles the graph, constructs the
+/// executor, grows the idle pool to steady state), then checks that one
+/// more full acquire/fill/execute/read/release cycle performs zero heap
+/// allocations and reproduces the warm-up output.
+void ExpectSteadyCycleAllocationFree(graph::CompiledForward* forward, int n,
+                                     const char* name) {
+  auto cycle = [forward, n] {
+    graph::CompiledForward::Lease lease = forward->Acquire(n);
+    const graph::CompiledGraph& compiled = lease->graph();
+    for (int input = 0; input < compiled.num_inputs(); ++input) {
+      int size = 1;
+      for (int dim : compiled.input_shape(input)) size *= dim;
+      float* dst = lease->InputData(input);
+      for (int i = 0; i < size; ++i) {
+        dst[i] = 0.01f * static_cast<float>(i % 97) - 0.4f;
+      }
+    }
+    lease->Execute();
+    return lease->OutputData()[0];
+  };
+  const float warm = cycle();
+  const uint64_t before = AllocCount();
+  const float steady = cycle();
+  const uint64_t after = AllocCount();
+  EXPECT_EQ(after - before, 0u)
+      << name << " forward cycle allocated " << (after - before) << " times";
+  EXPECT_EQ(steady, warm) << name;
+}
+
 TEST(GraphAllocTest, ExecuteIsAllocationFreeAfterWarmup) {
   ASSERT_TRUE(AllocHookInstalled());
   Rng rng(5);
   const nn::Mlp mlp({24, 32, 16, 4}, nn::Activation::kGelu, &rng);
-  graph::CompiledForward forward(
+  graph::CompiledForward mlp_forward(
       [&mlp](graph::GraphBuilder* builder, int n) {
         return mlp.BuildGraph(builder, builder->Input({n, 24}));
       });
+  ExpectSteadyCycleAllocationFree(&mlp_forward, 7, "mlp");
 
-  std::vector<float> input(7 * 24);
-  for (size_t i = 0; i < input.size(); ++i) {
-    input[i] = 0.01f * static_cast<float>(i) - 0.8f;
+  // The model's own trunk graph and the head graphs that read trunk rows.
+  const vlm::FoundationModel model(ModelWorld::MakeConfig());
+  using BuildMethod =
+      int (vlm::FoundationModel::*)(graph::GraphBuilder*, int) const;
+  const std::pair<const char*, BuildMethod> builds[] = {
+      {"trunk", &vlm::FoundationModel::BuildTrunkGraph},
+      {"describe head", &vlm::FoundationModel::BuildDescribeHeadGraph},
+      {"assess head", &vlm::FoundationModel::BuildAssessHeadGraph},
+      {"highlight head", &vlm::FoundationModel::BuildHighlightHeadGraph},
+  };
+  for (const auto& [name, build] : builds) {
+    graph::CompiledForward forward(
+        [&model, build](graph::GraphBuilder* builder, int n) {
+          return (model.*build)(builder, n);
+        });
+    ExpectSteadyCycleAllocationFree(&forward, 7, name);
   }
-
-  // Warm-up: compiles the graph, constructs the executor, grows the idle
-  // pool to steady state.
-  float checksum = 0.0f;
-  {
-    graph::CompiledForward::Lease lease = forward.Acquire(7);
-    std::memcpy(lease->InputData(0), input.data(),
-                input.size() * sizeof(float));
-    lease->Execute();
-    checksum = lease->OutputData()[0];
-  }
-
-  // Steady state: a full acquire/fill/execute/read/release cycle performs
-  // zero heap allocations.
-  const uint64_t before = AllocCount();
-  float steady = 0.0f;
-  {
-    graph::CompiledForward::Lease lease = forward.Acquire(7);
-    std::memcpy(lease->InputData(0), input.data(),
-                input.size() * sizeof(float));
-    lease->Execute();
-    steady = lease->OutputData()[0];
-  }
-  const uint64_t after = AllocCount();
-  EXPECT_EQ(after - before, 0u)
-      << "compiled forward cycle allocated " << (after - before) << " times";
-  EXPECT_EQ(steady, checksum);
 }
 
 TEST(GraphAllocTest, ExecuteAloneIsAllocationFreeOnEveryCall) {

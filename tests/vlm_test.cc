@@ -97,6 +97,30 @@ TEST_F(VlmTest, AssessGreedyMatchesProbability) {
   EXPECT_NEAR(result.prob_stressed, p, 1e-9);
 }
 
+TEST_F(VlmTest, AssessBatchDrawsAliasedStreamInIndexOrder) {
+  // Self-refinement scores helpfulness with one AssessBatch over K copies
+  // of a sample that share one stream; it must draw exactly what K
+  // sequential Assess calls draw.
+  const auto& sample = dataset_.samples[4];
+  AuMask description{};
+  description[2] = true;
+  constexpr int kRepeats = 5;
+  Rng batched_rng(17);
+  const std::vector<const data::VideoSample*> copies(kRepeats, &sample);
+  const std::vector<AuMask> descriptions(kRepeats, description);
+  const std::vector<Rng*> rngs(kRepeats, &batched_rng);
+  const auto batched = model_->AssessBatch(copies, descriptions, 1.0, rngs);
+  Rng sequential_rng(17);
+  for (int k = 0; k < kRepeats; ++k) {
+    const auto single =
+        model_->Assess(sample, description, 1.0, &sequential_rng);
+    EXPECT_EQ(batched[k].label, single.label) << "repeat " << k;
+    EXPECT_EQ(batched[k].prob_stressed, single.prob_stressed)
+        << "repeat " << k;
+  }
+  EXPECT_EQ(batched_rng.Next(), sequential_rng.Next());
+}
+
 TEST_F(VlmTest, AssessWithFramesMatchesCachedForCleanFrames) {
   const auto& sample = dataset_.samples[4];
   AuMask description{};
