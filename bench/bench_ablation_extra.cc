@@ -22,7 +22,6 @@ namespace {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Extension ablations (%s) ===\n",
               options.quick ? "quick" : "full");
   // These sweeps use the smaller RSL-sim to keep the grid affordable.
@@ -116,8 +115,6 @@ int Main(int argc, char** argv) {
                 table.ToString().c_str());
     (void)table.WriteCsv("ablation_segments.csv");
   }
-  WriteBenchPerfJson("ablation_extra", timer.Seconds(), test.size(),
-                     options);
   return 0;
 }
 

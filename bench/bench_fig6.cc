@@ -29,7 +29,6 @@ double SecondsSince(
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf(
       "=== Figure 6: per-sample explanation cost (%s) ===\n",
       options.quick ? "quick" : "full");
@@ -120,8 +119,6 @@ int Main(int argc, char** argv) {
   row("SOBOL", sobol_seconds, sobol_evals / n);
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("fig6.csv");
-  WriteBenchPerfJson("fig6", timer.Seconds(),
-                     static_cast<int64_t>(samples.size()), options);
   return 0;
 }
 

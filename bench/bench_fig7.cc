@@ -22,7 +22,6 @@ namespace {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Figure 7: similarity separation of helpful vs unhelpful"
               " examples (%s) ===\n",
               options.quick ? "quick" : "full");
@@ -98,8 +97,6 @@ int Main(int argc, char** argv) {
   std::printf("helpful=%zu unhelpful=%zu probes\n", helpful_vision.size(),
               unhelpful_vision.size());
   (void)table.WriteCsv("fig7.csv");
-  WriteBenchPerfJson("fig7", timer.Seconds(),
-                     static_cast<int64_t>(query_ids.size()), options);
   return 0;
 }
 

@@ -19,7 +19,6 @@ namespace {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Figure 8: retrieval pool size sweep on RSL (%s) ===\n",
               options.quick ? "quick" : "full");
   BenchData data = MakeBenchData(options);
@@ -68,7 +67,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("fig8.csv");
-  WriteBenchPerfJson("fig8", timer.Seconds(), test.size(), options);
   return 0;
 }
 

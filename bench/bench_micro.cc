@@ -28,7 +28,6 @@
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
 #include "tensor/kernels.h"
-#include "tensor/registry.h"
 #include "tensor/tensor.h"
 #include "vlm/foundation_model.h"
 
@@ -196,7 +195,7 @@ void RooflineRow(std::string* rows, const char* op, const char* dtype,
                gb_per_s);
 }
 
-/// Benchmarks every registry kernel under each compiled backend and
+/// Benchmarks every vector kernel under each compiled backend and
 /// returns the JSON rows of the sidecar's "roofline" array. Shapes are
 /// fixed mid-size workloads; bytes assume each operand is touched once.
 std::string RooflineJson() {

@@ -1,14 +1,14 @@
 // Robustness bench: the serving layer under deterministic fault injection.
 // Sweeps fault rates {0, 0.05, 0.10}, serves half of UVSD-sim through a
-// StressServer with a fitted Gao-SVM fallback, and reports how requests
-// resolved at each rate (full / fallback / prior / invalid / deadline) plus
-// end-to-end accuracy over the answered requests.
+// standalone serve::Replica with a fitted Gao-SVM fallback, and reports how
+// requests resolved at each rate (full / fallback / prior / invalid /
+// deadline) plus end-to-end accuracy over the answered requests.
 //
 // Deterministic: the CSV is byte-identical at every --threads value and
 // worker count. Fault decisions key on request ids, sample ids, and frame
 // content — never on batch composition — so per-request outcomes do not
 // depend on timing. Timing-dependent queue statistics (batches cut, mean
-// fill) go only to the BENCH_robustness.json sidecar.
+// fill) stay out of the CSV.
 //
 // At rate 0 the bench self-checks the serving bit-identity contract against
 // a direct ChainPipeline::PredictBatch and exits 1 on any mismatch.
@@ -32,7 +32,7 @@
 #include "common/status.h"
 #include "common/table.h"
 #include "cot/pipeline.h"
-#include "serve/server.h"
+#include "serve/replica_pool.h"
 
 namespace vsd::bench {
 namespace {
@@ -65,7 +65,6 @@ int Main(int argc, char** argv) {
       degraded_bound = std::atof(argv[++i]);
     }
   }
-  PerfTimer timer;
   std::printf("=== Robustness: serving under injected faults (%s) ===\n",
               options.quick ? "quick" : "full");
 
@@ -104,7 +103,6 @@ int Main(int argc, char** argv) {
 
   Table table({"Rate", "Requests", "Full", "Fallback", "Prior", "Invalid",
                "Deadline", "Rejected", "Retries", "Accuracy"});
-  ServePerf perf;
   auto& injector = FaultInjector::Global();
 
   const double rates[] = {0.0, 0.05, 0.10};
@@ -124,11 +122,11 @@ int Main(int argc, char** argv) {
       injector.Disable();
     }
 
-    serve::StressServer server(&pipeline, config, &fallback);
+    serve::Replica replica(0, &pipeline, config, &fallback, /*pool=*/nullptr);
     std::vector<std::future<vsd::Result<serve::ServeResult>>> futures;
     futures.reserve(served.size());
     for (const data::VideoSample* sample : served) {
-      futures.push_back(server.Submit(*sample));
+      futures.push_back(replica.Submit(*sample, {}));
     }
 
     SweepOutcome outcome;
@@ -163,8 +161,8 @@ int Main(int argc, char** argv) {
         }
       }
     }
-    server.Shutdown();
-    const serve::ServeStatsSnapshot stats = server.Stats();
+    replica.Shutdown();
+    const serve::ServeStatsSnapshot stats = replica.Stats();
 
     if (rate == 0.0 &&
         (outcome.full != static_cast<int64_t>(served.size()) ||
@@ -204,19 +202,11 @@ int Main(int argc, char** argv) {
                 rate, static_cast<long long>(outcome.full),
                 static_cast<long long>(outcome.fallback + outcome.prior),
                 static_cast<long long>(stats.retries));
-
-    perf.batches_cut += stats.batches_cut;
-    perf.retries += stats.retries;
-    perf.degraded += stats.Degraded();
-    perf.faults_injected += injector.TotalCount();
-    perf.mean_batch_fill += stats.MeanBatchFill() / 3.0;
   }
   injector.Disable();
 
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("robustness.csv");
-  WriteBenchPerfJson("robustness", timer.Seconds(),
-                     3 * static_cast<int64_t>(served.size()), options, perf);
   return 0;
 }
 

@@ -68,7 +68,6 @@ void AppendRow(Table* table, const std::string& name, const Metrics& uvsd,
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table I: stress detection performance (%s, %d-fold) ===\n",
               options.quick ? "quick" : "full", options.folds);
   BenchData data = MakeBenchData(options);
@@ -125,8 +124,6 @@ int Main(int argc, char** argv) {
 
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table1.csv");
-  WriteBenchPerfJson("table1", timer.Seconds(),
-                     data.uvsd.size() + data.rsl.size(), options);
   return 0;
 }
 

@@ -113,7 +113,6 @@ DatasetDrops RunDataset(const data::Dataset& dataset,
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table II: accuracy drop after disturbing Top-k segments"
               " (%s) ===\n",
               options.quick ? "quick" : "full");
@@ -141,7 +140,6 @@ int Main(int argc, char** argv) {
   row("Ours", uvsd.ours, rsl.ours);
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table2.csv");
-  WriteBenchPerfJson("table2", timer.Seconds(), 2 * eval_samples, options);
   return 0;
 }
 

@@ -31,7 +31,6 @@ core::Metrics EvaluateVariant(const cot::ChainConfig& chain,
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table III: chain-reasoning ablation (%s, %d-fold) ===\n",
               options.quick ? "quick" : "full", options.folds);
   BenchData data = MakeBenchData(options);
@@ -59,8 +58,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table3.csv");
-  WriteBenchPerfJson("table3", timer.Seconds(),
-                     data.uvsd.size() + data.rsl.size(), options);
   return 0;
 }
 

@@ -15,7 +15,6 @@ namespace {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table IV: rationale ablation on chain reasoning (%s)"
               " ===\n",
               options.quick ? "quick" : "full");
@@ -63,7 +62,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table4.csv");
-  WriteBenchPerfJson("table4", timer.Seconds(), 2 * eval_samples, options);
   return 0;
 }
 

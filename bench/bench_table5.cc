@@ -32,7 +32,6 @@ core::Metrics EvaluateVariant(const cot::ChainConfig& chain,
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table V: self-refine ablation (%s, %d-fold) ===\n",
               options.quick ? "quick" : "full", options.folds);
   BenchData data = MakeBenchData(options);
@@ -60,8 +59,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table5.csv");
-  WriteBenchPerfJson("table5", timer.Seconds(),
-                     data.uvsd.size() + data.rsl.size(), options);
   return 0;
 }
 

@@ -45,7 +45,6 @@ core::Metrics EvaluateWithRetrieval(const cot::ChainPipeline& pipeline,
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table VII: in-context example retrieval (%s) ===\n",
               options.quick ? "quick" : "full");
   BenchData data = MakeBenchData(options);
@@ -82,8 +81,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table7.csv");
-  WriteBenchPerfJson("table7", timer.Seconds(),
-                     data.uvsd.size() + data.rsl.size(), options);
   return 0;
 }
 

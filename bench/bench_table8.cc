@@ -17,7 +17,6 @@ namespace {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchArgs(argc, argv);
-  PerfTimer timer;
   std::printf("=== Table VIII: off-the-shelf LFMs + our test-time scheme"
               " (%s) ===\n",
               options.quick ? "quick" : "full");
@@ -67,8 +66,6 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.ToString().c_str());
   (void)table.WriteCsv("table8.csv");
-  WriteBenchPerfJson("table8", timer.Seconds(),
-                     data.uvsd.size() + data.rsl.size(), options);
   return 0;
 }
 

@@ -67,66 +67,6 @@ bool WriteSidecarFile(const std::string& path, const std::string& content) {
   return ok;
 }
 
-void WriteBenchPerfJson(const std::string& name, double wall_seconds,
-                        int64_t samples, const BenchOptions& options) {
-  const double rate =
-      wall_seconds > 0.0 ? static_cast<double>(samples) / wall_seconds : 0.0;
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n"
-                "  \"bench\": \"%s\",\n"
-                "  \"quick\": %s,\n"
-                "  \"folds\": %d,\n"
-                "  \"seed\": %llu,\n"
-                "  \"threads\": %d,\n"
-                "  \"batch_size\": %d,\n"
-                "  \"samples\": %lld,\n"
-                "  \"wall_time_s\": %.6f,\n"
-                "  \"samples_per_sec\": %.3f\n"
-                "}\n",
-                name.c_str(), options.quick ? "true" : "false", options.folds,
-                static_cast<unsigned long long>(options.seed),
-                ThreadPool::GlobalThreads(), DefaultBatchSize(),
-                static_cast<long long>(samples), wall_seconds, rate);
-  WriteSidecarFile("BENCH_" + name + ".json", json);
-}
-
-void WriteBenchPerfJson(const std::string& name, double wall_seconds,
-                        int64_t samples, const BenchOptions& options,
-                        const ServePerf& serve) {
-  const double rate =
-      wall_seconds > 0.0 ? static_cast<double>(samples) / wall_seconds : 0.0;
-  char json[1024];
-  std::snprintf(json, sizeof(json),
-                "{\n"
-                "  \"bench\": \"%s\",\n"
-                "  \"quick\": %s,\n"
-                "  \"folds\": %d,\n"
-                "  \"seed\": %llu,\n"
-                "  \"threads\": %d,\n"
-                "  \"batch_size\": %d,\n"
-                "  \"samples\": %lld,\n"
-                "  \"wall_time_s\": %.6f,\n"
-                "  \"samples_per_sec\": %.3f,\n"
-                "  \"serve\": {\n"
-                "    \"batches_cut\": %lld,\n"
-                "    \"mean_batch_fill\": %.3f,\n"
-                "    \"retries\": %lld,\n"
-                "    \"degraded\": %lld,\n"
-                "    \"faults_injected\": %lld\n"
-                "  }\n"
-                "}\n",
-                name.c_str(), options.quick ? "true" : "false", options.folds,
-                static_cast<unsigned long long>(options.seed),
-                ThreadPool::GlobalThreads(), DefaultBatchSize(),
-                static_cast<long long>(samples), wall_seconds, rate,
-                static_cast<long long>(serve.batches_cut),
-                serve.mean_batch_fill, static_cast<long long>(serve.retries),
-                static_cast<long long>(serve.degraded),
-                static_cast<long long>(serve.faults_injected));
-  WriteSidecarFile("BENCH_" + name + ".json", json);
-}
-
 BenchData MakeBenchData(const BenchOptions& options) {
   BenchData data;
   if (options.quick) {

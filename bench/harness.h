@@ -62,29 +62,6 @@ class PerfTimer {
 /// bench/tool sidecar goes through this one helper.
 bool WriteSidecarFile(const std::string& path, const std::string& content);
 
-/// Writes `BENCH_<name>.json` next to the CSVs: wall time, throughput, and
-/// the batch/thread configuration, so perf runs are machine-comparable.
-/// `samples` is the number of sample evaluations the bench is sized by
-/// (dataset rows scored, not model forwards).
-void WriteBenchPerfJson(const std::string& name, double wall_seconds,
-                        int64_t samples, const BenchOptions& options);
-
-/// Serving/queue statistics for the perf sidecar of a serving bench.
-/// These are throughput diagnostics, not results: batch count and fill
-/// depend on timing, so they belong in the sidecar, never in a CSV.
-struct ServePerf {
-  int64_t batches_cut = 0;
-  double mean_batch_fill = 0.0;
-  int64_t retries = 0;
-  int64_t degraded = 0;        ///< Fallback + prior completions.
-  int64_t faults_injected = 0; ///< Total FaultInjector firings.
-};
-
-/// `WriteBenchPerfJson` with an extra "serve" block of queue statistics.
-void WriteBenchPerfJson(const std::string& name, double wall_seconds,
-                        int64_t samples, const BenchOptions& options,
-                        const ServePerf& serve);
-
 /// The two stress datasets (full-size unless quick) plus the AU dataset.
 struct BenchData {
   data::Dataset uvsd;

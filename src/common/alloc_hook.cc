@@ -14,31 +14,56 @@ namespace {
 [[maybe_unused]] const bool kHookMarked =
     (vsd::internal::MarkAllocHookInstalled(), true);
 
+/// Counted allocations return null on failure; the throwing forms wrap
+/// them in OrThrow.
 void* CountedAlloc(std::size_t size) {
   vsd::internal::RecordAlloc();
-  void* ptr = std::malloc(size == 0 ? 1 : size);
-  if (ptr == nullptr) throw std::bad_alloc();
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  vsd::internal::RecordAlloc();
+  void* ptr = nullptr;
+  const auto bytes = static_cast<std::size_t>(align);
+  if (posix_memalign(&ptr, bytes, size == 0 ? bytes : size) != 0) {
+    return nullptr;
+  }
   return ptr;
 }
 
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
-  vsd::internal::RecordAlloc();
-  void* ptr = nullptr;
-  if (posix_memalign(&ptr, align, size == 0 ? align : size) != 0) {
-    throw std::bad_alloc();
-  }
+void* OrThrow(void* ptr) {
+  if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
 }
 
 }  // namespace
 
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
+// All twenty replaceable forms are defined here. A form left out resolves
+// to the runtime's (ASan's, in a sanitizer build), which allocates past
+// the counter; ASan then sees our free()-based delete release that memory
+// and aborts with alloc-dealloc-mismatch (std::stable_sort takes its
+// temporary buffer from the nothrow new).
+void* operator new(std::size_t size) { return OrThrow(CountedAlloc(size)); }
+void* operator new[](std::size_t size) { return OrThrow(CountedAlloc(size)); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
+  return OrThrow(CountedAlignedAlloc(size, align));
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
+  return OrThrow(CountedAlignedAlloc(size, align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
 }
 
 void operator delete(void* ptr) noexcept { std::free(ptr); }
@@ -49,5 +74,25 @@ void operator delete(void* ptr, std::align_val_t) noexcept {
   std::free(ptr);
 }
 void operator delete[](void* ptr, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(ptr);
 }

@@ -900,7 +900,7 @@ std::map<std::string, TaintSource> PropagateTaint(
 std::vector<Finding> CheckNondetTaint(const std::string& path,
                                       const LexResult& lex) {
   static const std::set<std::string> kSinkCalls = {
-      "AddRow", "WriteCsv", "WriteBenchPerfJson", "WriteJson",
+      "AddRow", "WriteCsv", "WriteJson",
   };
   const bool return_is_sink =
       StartsWith(path, "src/core/") || StartsWith(path, "bench/");

@@ -192,8 +192,8 @@ std::map<std::string, TaintSource> PropagateTaint(
     const std::vector<TaintSource>& seeds);
 
 /// The nondet-taint rule over one lexed file (intraprocedural): sources
-/// propagated to result sinks — AddRow/WriteCsv/WriteBenchPerfJson calls
-/// anywhere, and `return` values in src/core/ and bench/.
+/// propagated to result sinks — AddRow/WriteCsv/WriteJson calls anywhere,
+/// and `return` values in src/core/ and bench/.
 std::vector<Finding> CheckNondetTaint(const std::string& path,
                                       const LexResult& lex);
 

@@ -662,13 +662,13 @@ void CheckPointerKey(const FileCtx& ctx) {
 
 // ---------------------------------------------------------------------------
 // kernel-bypass: every multiply-accumulate inner loop in the model layers
-// must go through the registry-dispatched kernels (tensor/kernels.h) so it
-// picks up the SIMD and int8 backends and stays inside the bit-identity
-// contract. A raw `out[...] += a * b` loop in src/tensor/, src/nn/, or
-// src/vlm/ outside the kernel TUs is a hand-rolled matmul/conv that the
-// registry can neither vectorize nor quantize. Kernel implementations
-// themselves (src/tensor/kernels*) are exempt — they are the one place
-// such loops belong.
+// must go through the kernels in tensor/kernels.h so it picks up the SIMD
+// and int8 backends and stays inside the bit-identity contract. A raw
+// `out[...] += a * b` loop in src/tensor/, src/nn/, or src/vlm/ outside
+// the kernel TUs is a hand-rolled matmul/conv that the kernel layer can
+// neither vectorize nor quantize. Kernel implementations themselves
+// (src/tensor/kernels*) are exempt — they are the one place such loops
+// belong.
 // ---------------------------------------------------------------------------
 void CheckKernelBypass(const FileCtx& ctx) {
   const bool scoped = StartsWith(ctx.path, "src/tensor/") ||
@@ -696,9 +696,9 @@ void CheckKernelBypass(const FileCtx& ctx) {
     if (!has_mul) continue;
     ctx.Report(toks[i].line, "kernel-bypass",
                "raw multiply-accumulate loop outside the kernel layer; "
-               "route matmul-shaped work through tensor/kernels.h so it "
-               "dispatches via the registry (SIMD/int8 backends, "
-               "bit-identity contract) instead of a hand-rolled float loop");
+               "route matmul-shaped work through tensor/kernels.h (SIMD/int8 "
+               "backends, bit-identity contract) instead of a hand-rolled "
+               "float loop");
   }
 }
 

@@ -27,8 +27,7 @@ namespace vsd::serve {
 class ReplicaPool;
 
 /// Per-replica serving knobs. The defaults suit tests; benches size them
-/// explicitly. (`StressServer` reuses this config for its single replica,
-/// so the PR-4 field names are unchanged.)
+/// explicitly.
 struct ServeConfig {
   /// Bounded open-request queue: submissions beyond this are rejected with
   /// `Unavailable` (backpressure) instead of growing memory without bound.
@@ -145,12 +144,14 @@ const char* ReplicaHealthName(ReplicaHealth health);
 /// \brief One serving replica: its own pipeline handle, bounded queue,
 /// per-replica circuit breaker, and (optionally) worker threads.
 ///
-/// This is the serving engine extracted from PR 4's `StressServer` (which
-/// is now a façade over a single Replica): deadline-aware dynamic batching
-/// with QoS-priority cuts, retry with deterministic backoff, a degradation
-/// ladder down to the calibrated prior, and deterministic fault injection
-/// keyed by (replica, request id, attempt). All time flows through the
-/// injected `Clock`.
+/// The serving engine: deadline-aware dynamic batching with QoS-priority
+/// cuts, retry with deterministic backoff, a degradation ladder down to
+/// the calibrated prior, and deterministic fault injection keyed by
+/// (replica, request id, attempt). All time flows through the injected
+/// `Clock`. Every accepted request's future resolves — with a full
+/// answer, a degraded answer, or an error status — so no future hangs.
+/// With faults off, served probabilities are bit-identical to a direct
+/// `PredictBatch` at every worker count, batch cut and pool width.
 ///
 /// Two drive modes share every line of the batching logic:
 ///  * threaded (num_workers > 0): workers cut and process batches against
@@ -162,9 +163,9 @@ const char* ReplicaHealthName(ReplicaHealth health);
 class Replica {
  public:
   /// `pipeline` (and `fallback`, when given) must outlive the replica.
-  /// `pool` may be null (standalone replica, e.g. under `StressServer`):
-  /// then health reporting and failover are disabled and final failures
-  /// walk the local degradation ladder.
+  /// `pool` may be null (a standalone replica, as in serve_test and
+  /// bench_robustness): then health reporting and failover are disabled
+  /// and final failures walk the local degradation ladder.
   Replica(int id, const cot::ChainPipeline* pipeline,
           const ServeConfig& config,
           const baselines::StressClassifier* fallback, ReplicaPool* pool);

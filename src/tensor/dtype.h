@@ -14,8 +14,6 @@ enum class DType {
   kI8 = 1,
 };
 
-inline constexpr int kNumDTypes = 2;
-
 /// Bytes per element of the dense payload (quantization side tables — the
 /// per-row scales and zero-points — are accounted separately).
 constexpr size_t DTypeSize(DType dtype) {

@@ -1,14 +1,18 @@
-// Scalar reference backend + the public dispatchers. The scalar loops are
-// the semantic definition of every kernel: all other backends must be
-// bit-identical to them (tests/quant_test.cc sweeps the contract).
+// Scalar reference backend, the backend switch and the public entry
+// points. The scalar loops are the semantic definition of every kernel:
+// the simd backend must be bit-identical to them (tests/quant_test.cc
+// sweeps the contract).
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
+#include "common/logging.h"
 #include "common/math_util.h"
 #include "tensor/kernels_backends.h"
-#include "tensor/registry.h"
 
 namespace vsd::tensor::kernels {
 
@@ -122,61 +126,104 @@ void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
 
 }  // namespace scalar
 
-// ---- Dispatchers ----
+// ---- Backend switch ----
 
 namespace {
 
-template <typename Fn>
-Fn Dispatch(OpKind op, DType dtype) {
-  return reinterpret_cast<Fn>(
-      KernelRegistry::Instance().Resolve(op, dtype, ActiveBackend()));
+int EnvBackend() {
+  const char* env = std::getenv("VSD_BACKEND");
+  if (env == nullptr || env[0] == '\0') return -1;
+  if (std::strcmp(env, "scalar") == 0) return 0;
+  if (std::strcmp(env, "simd") == 0) return 1;
+  VSD_CHECK(false) << "VSD_BACKEND must be 'scalar' or 'simd', got '" << env
+                   << "'";
+  return -1;
 }
+
+/// -1 = unset (fall back to the environment); set by SetBackend.
+std::atomic<int>& BackendOverrideSlot() {
+  static std::atomic<int> override_flag{-1};
+  return override_flag;
+}
+
+Backend ClampToCompiled(int flag) {
+  if (flag == 1 && simd::Available()) return Backend::kSimd;
+  return Backend::kScalar;
+}
+
+bool UseSimd() { return ActiveBackend() == Backend::kSimd; }
 
 }  // namespace
 
+bool SimdCompiled() { return simd::Available(); }
+
+Backend ActiveBackend() {
+  const int override_flag =
+      BackendOverrideSlot().load(std::memory_order_relaxed);
+  if (override_flag >= 0) return ClampToCompiled(override_flag);
+  static const int env_flag = EnvBackend();
+  if (env_flag >= 0) return ClampToCompiled(env_flag);
+  // Default: prefer the vectorized backend. Safe because fp32 SIMD is
+  // bit-identical to scalar (the equivalence suites pin this).
+  return ClampToCompiled(1);
+}
+
+void SetBackend(Backend backend) {
+  BackendOverrideSlot().store(backend == Backend::kSimd ? 1 : 0,
+                              std::memory_order_relaxed);
+}
+
+void ClearBackendOverride() {
+  BackendOverrideSlot().store(-1, std::memory_order_relaxed);
+}
+
+// ---- Entry points ----
+
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
-  Dispatch<MatMulF32Fn>(OpKind::kMatMul, DType::kF32)(a, b, out, m, k, n);
+  UseSimd() ? simd::MatMulInto(a, b, out, m, k, n)
+            : scalar::MatMulInto(a, b, out, m, k, n);
 }
 
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n) {
-  Dispatch<MatMulI8Fn>(OpKind::kMatMul, DType::kI8)(a, bq, bscale, bzero,
-                                                    out, m, k, n);
+  UseSimd() ? simd::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n)
+            : scalar::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n);
 }
 
 void AddRowsInto(const float* a, const float* bias, float* out, int rows,
                  int cols) {
-  Dispatch<AddRowsFn>(OpKind::kAddRows, DType::kF32)(a, bias, out, rows,
-                                                     cols);
+  UseSimd() ? simd::AddRowsInto(a, bias, out, rows, cols)
+            : scalar::AddRowsInto(a, bias, out, rows, cols);
 }
 
 void ReluInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kRelu, DType::kF32)(x, out, n);
+  UseSimd() ? simd::ReluInto(x, out, n) : scalar::ReluInto(x, out, n);
 }
 
+// Tanh, Sigmoid and Im2Col have no vector variant (see
+// kernels_backends.h), so both backends run the scalar loop.
 void TanhInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kTanh, DType::kF32)(x, out, n);
+  scalar::TanhInto(x, out, n);
 }
 
 void SigmoidInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kSigmoid, DType::kF32)(x, out, n);
+  scalar::SigmoidInto(x, out, n);
 }
 
 void GeluInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kGelu, DType::kF32)(x, out, n);
+  UseSimd() ? simd::GeluInto(x, out, n) : scalar::GeluInto(x, out, n);
 }
 
 void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
                     int da, int db) {
-  Dispatch<ConcatRowsFn>(OpKind::kConcatRows, DType::kF32)(a, b, out, rows,
-                                                           da, db);
+  UseSimd() ? simd::ConcatRowsInto(a, b, out, rows, da, db)
+            : scalar::ConcatRowsInto(a, b, out, rows, da, db);
 }
 
 void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
                 int kh, int kw, int stride, int pad) {
-  Dispatch<Im2ColFn>(OpKind::kIm2Col, DType::kF32)(x, out, n, h, w, c, kh,
-                                                   kw, stride, pad);
+  scalar::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad);
 }
 
 }  // namespace vsd::tensor::kernels

@@ -9,20 +9,46 @@ namespace vsd::tensor::kernels {
 //
 // Every op that appears both in the eager tensor/autograd forward pass and
 // in the compiled graph executor (`nn::graph`) is reached exactly once
-// through the entry points below, which dispatch through the
-// KernelRegistry (tensor/registry.h) keyed by (OpKind, DType, Backend).
-// Bit-identity between the execution modes is therefore structural: both
-// resolve to the same registered kernel for a given backend, and every
-// non-scalar backend is required to be bit-identical to the scalar
-// reference (fixed k-order accumulation, separate mul/add rounding — see
-// docs/INTERNALS.md "Kernel registry, dtypes & backends").
+// through the entry points below. Each calls its kernel directly: the ops
+// with a vector variant pick `simd::` or `scalar::` by `ActiveBackend()`,
+// the rest always call `scalar::`. Bit-identity between the execution
+// modes is therefore structural: both reach the same function for a given
+// backend, and the simd kernels are required to be bit-identical to the
+// scalar reference (fixed k-order accumulation, separate mul/add rounding
+// — see docs/INTERNALS.md "Kernels, dtypes & backends").
 // `tests/graph_exec_test.cc` and `tests/quant_test.cc` pin the contract.
 //
 // Kernels fully define their output range (zero-initializing first where
 // the loop accumulates or writes sparsely), so callers may hand them
-// arbitrary dirty memory — e.g. a reused arena slot. Dispatch is a fixed
-// array lookup: no heap allocation, safe inside Execute's zero-allocation
-// contract.
+// arbitrary dirty memory — e.g. a reused arena slot. Dispatch reads the
+// active backend and branches: no heap allocation, safe inside Execute's
+// zero-allocation contract.
+
+enum class Backend {
+  kScalar = 0,  ///< Reference implementation.
+  kSimd = 1,    ///< Vectorized fp32 / int8 variants; bit-identical to scalar.
+};
+
+constexpr const char* BackendName(Backend backend) {
+  return backend == Backend::kSimd ? "simd" : "scalar";
+}
+
+/// True when the vectorized backend was compiled in (GCC/Clang vector
+/// extensions; lowered to whatever SIMD ISA the build targets, or scalar
+/// code on targets without one — the "portable vector path").
+bool SimdCompiled();
+
+/// The backend the entry points use: a SetBackend override wins, else the
+/// VSD_BACKEND environment variable ("scalar" | "simd"), else kSimd when
+/// compiled in (safe because fp32 SIMD is bit-identical to scalar).
+Backend ActiveBackend();
+
+/// Runtime override of VSD_BACKEND (tests, benches). Requesting kSimd
+/// when it is not compiled in resolves to scalar.
+void SetBackend(Backend backend);
+
+/// Drops the SetBackend override, returning control to the environment.
+void ClearBackendOverride();
 
 /// [M,K]x[K,N] -> [M,N] with rows of zeros in `a` skipped (the one-hot /
 /// sparse-mask fast path the eager MatMul relies on).

@@ -7,10 +7,10 @@ namespace vsd::tensor::kernels {
 
 // ---- Backend implementations (internal) ----
 //
-// Declarations shared between the backend translation units and the
-// registry, which wires them into the dispatch table. Callers outside
-// src/tensor/ go through the dispatchers in tensor/kernels.h; these
-// symbols are not part of the public kernel API.
+// Declarations shared between the backend translation units and the entry
+// points in kernels.cc, which call them directly. Callers outside
+// src/tensor/ go through tensor/kernels.h; these symbols are not part of
+// the public kernel API (tests call them to check the dispatch).
 //
 // Both backends are compiled with -ffp-contract=off (see
 // src/tensor/CMakeLists.txt): the bit-identity contract requires every
@@ -40,8 +40,7 @@ void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
 namespace simd {
 
 /// False when the translation unit was built without vector-extension
-/// support; the registry then leaves the simd slots empty and dispatch
-/// falls back to scalar.
+/// support; ActiveBackend() then resolves to scalar.
 bool Available();
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
@@ -57,7 +56,8 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
 // Tanh/Sigmoid/Im2Col have no vector variant: the transcendental maps
 // must call the exact same libm function per element to stay
 // bit-identical, and im2col is a pure copy/scatter already bounded by
-// memory. The registry registers the scalar functions under the simd key.
+// memory. Their entry points call the scalar functions under either
+// backend.
 
 }  // namespace simd
 

@@ -170,10 +170,6 @@ Var FoundationModel::BernoulliSetLogProbVar(
   return ag::RowSum(ag::Neg(nll));
 }
 
-double FoundationModel::EffectiveBias(const AuMask& description) const {
-  return config_.assess_margin_bias;
-}
-
 Var FoundationModel::MaskRows(const std::vector<AuMask>& masks) {
   Tensor rows({static_cast<int>(masks.size()), kNumAus});
   for (size_t i = 0; i < masks.size(); ++i) {
@@ -452,10 +448,11 @@ std::vector<AssessResult> FoundationModel::AssessBatch(
   VSD_CHECK(rngs.empty() || static_cast<int>(rngs.size()) == n)
       << "AssessBatch rng mismatch";
   const Tensor logits = AssessLogits(perception, descriptions);
+  // Read as double so the margin is summed in double precision.
+  const double bias = config_.assess_margin_bias;
   std::vector<AssessResult> results(n);
   for (int i = 0; i < n; ++i) {
-    const double margin = logits.at(i, 1) - logits.at(i, 0) +
-                          EffectiveBias(descriptions[i]);
+    const double margin = logits.at(i, 1) - logits.at(i, 0) + bias;
     AssessResult& result = results[i];
     result.prob_stressed = vsd::Sigmoid(margin);
     Rng* rng = rngs.empty() ? nullptr : rngs[i];
@@ -487,10 +484,10 @@ std::vector<double> FoundationModel::AssessProbStressedBatch(
     std::span<const AuMask> descriptions) const {
   const int n = perception.size();
   const Tensor logits = AssessLogits(perception, descriptions);
+  const double bias = config_.assess_margin_bias;
   std::vector<double> probs(n);
   for (int i = 0; i < n; ++i) {
-    probs[i] = vsd::Sigmoid(logits.at(i, 1) - logits.at(i, 0) +
-                            EffectiveBias(descriptions[i]));
+    probs[i] = vsd::Sigmoid(logits.at(i, 1) - logits.at(i, 0) + bias);
   }
   return probs;
 }
@@ -552,8 +549,8 @@ AssessResult FoundationModel::AssessWithExample(
   VSD_CHECK(perception.size() == 1) << "AssessWithExample takes one video";
   const AuMask descriptions[] = {description};
   const Tensor logits = AssessLogits(perception, descriptions);
-  double margin =
-      logits.at(0, 1) - logits.at(0, 0) + EffectiveBias(description);
+  const double bias = config_.assess_margin_bias;
+  double margin = logits.at(0, 1) - logits.at(0, 0) + bias;
   // The in-context example shifts the decision toward its own label in
   // proportion to how similar it is to the query (Sec. IV-F): dissimilar
   // examples contribute near-zero shift (random retrieval ~ no example).

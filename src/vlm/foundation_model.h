@@ -381,10 +381,6 @@ class FoundationModel : public nn::Module {
   std::vector<nn::Var> VisionParameters() const;
 
  private:
-  /// Verdict-threshold miscalibration actually applied: attenuated when
-  /// the assessment is conditioned on an explicit description.
-  double EffectiveBias(const face::AuMask& description) const;
-
   static nn::Var MaskRows(const std::vector<face::AuMask>& masks);
   static nn::Var OneHotRows(const std::vector<int>& labels, int classes);
 

@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -36,7 +37,7 @@
 #include "img/slic.h"
 #include "nn/graph.h"
 #include "nn/layers.h"
-#include "tensor/registry.h"
+#include "tensor/kernels.h"
 #include "vlm/foundation_model.h"
 #include "vlm/quantize.h"
 
@@ -61,7 +62,7 @@ class GraphModeGuard {
   bool previous_;
 };
 
-/// Pins the kernel backend for a scope (tensor/registry.h) and drops the
+/// Pins the kernel backend for a scope (tensor/kernels.h) and drops the
 /// override on exit, so tests compose regardless of VSD_BACKEND.
 class BackendGuard {
  public:
@@ -439,6 +440,17 @@ TEST(GraphAllocTest, CountingAllocatorIsLinkedIn) {
   const uint64_t after = AllocCount();
   ::operator delete(p);
   EXPECT_GE(after, before + 1);
+
+  // The nothrow forms must be ours too (std::stable_sort's temporary
+  // buffer comes from one); under ASan a missing form falls through to
+  // the sanitizer's, which would not count.
+  const uint64_t before_nothrow = AllocCount();
+  void* plain = ::operator new(16, std::nothrow);
+  void* aligned = ::operator new(64, std::align_val_t{64}, std::nothrow);
+  const uint64_t after_nothrow = AllocCount();
+  ::operator delete(plain, std::nothrow);
+  ::operator delete(aligned, 64, std::align_val_t{64});
+  EXPECT_GE(after_nothrow, before_nothrow + 2);
 }
 
 /// Warms `forward` up at batch `n` (compiles the graph, constructs the
@@ -523,7 +535,7 @@ TEST(GraphAllocTest, ExecuteAloneIsAllocationFreeOnEveryCall) {
 }
 
 TEST(GraphAllocTest, ExecuteWithInt8WeightsIsAllocationFree) {
-  // The fused int8 MatMul dispatches through the same registry lookup and
+  // The fused int8 MatMul dispatches through the same backend switch and
   // reads quantized storage in place, so the zero-allocation contract must
   // hold for quantized graphs too.
   ASSERT_TRUE(AllocHookInstalled());

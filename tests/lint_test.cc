@@ -563,7 +563,7 @@ TEST(UnguardedCaptureRule, AllowsPerIndexLocalsAtomicsLocksAndByValue) {
   EXPECT_TRUE(Rules("src/core/x.cc", by_value).empty());
   // A Submit *definition* (qualified name) is not a call site.
   const std::string defn = R"cc(
-    void StressServer::Submit(Request r) { queue_size += 1; }
+    void Replica::Submit(Request r) { queue_size += 1; }
   )cc";
   EXPECT_FALSE(HasRule(Rules("src/serve/x.cc", defn), "unguarded-capture"));
 }
@@ -679,7 +679,7 @@ TEST(IncludeGraphTest, LayerTableMatchesArchitecture) {
   EXPECT_EQ(LayerOf("src/cot/pipeline.h"), 4);
   EXPECT_EQ(LayerOf("src/explain/sobol.h"), 5);
   EXPECT_EQ(LayerOf("src/core/evaluation.h"), 6);
-  EXPECT_EQ(LayerOf("src/serve/server.h"), 7);
+  EXPECT_EQ(LayerOf("src/serve/replica_pool.h"), 7);
   EXPECT_EQ(LayerOf("bench/harness.h"), 8);
   EXPECT_EQ(LayerOf("tests/lint_test.cc"), -1);  // Unconstrained.
 }
@@ -728,8 +728,8 @@ TEST(IncludeGraphTest, DownwardAndSameLayerIncludesAreClean) {
                              "#include \"cot/refinement.h\"\n"},
       {"src/common/rng.h", ""},
       {"src/cot/refinement.h", "#include \"common/rng.h\"\n"},
-      {"tests/x_test.cc", "#include \"serve/server.h\"\n"},
-      {"src/serve/server.h", ""},
+      {"tests/x_test.cc", "#include \"serve/replica_pool.h\"\n"},
+      {"src/serve/replica_pool.h", ""},
   });
   EXPECT_TRUE(CheckLayering(graph).empty());
   EXPECT_TRUE(CheckCycles(graph).empty());

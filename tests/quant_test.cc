@@ -1,9 +1,9 @@
 // Tests for the int8 row-quantization path (tensor/quant.h, Tensor::
-// QuantizeInt8) and the kernel registry (tensor/registry.h): round-trip
-// error bounds, determinism across thread counts, the fused int8 MatMul's
-// bit-identity with dequantize-then-MatMul, registry lookup/fallback, and
-// scalar-vs-SIMD bitwise equality for every dispatched kernel including
-// vector-width tails.
+// QuantizeInt8) and the kernel backend switch (tensor/kernels.h):
+// round-trip error bounds, determinism across thread counts, the fused
+// int8 MatMul's bit-identity with dequantize-then-MatMul, backend
+// dispatch, and scalar-vs-SIMD bitwise equality for every dispatched
+// kernel including vector-width tails.
 #include "tensor/quant.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/registry.h"
+#include "tensor/kernels_backends.h"
 #include "tensor/tensor.h"
 
 namespace vsd::tensor {
@@ -137,26 +137,95 @@ TEST(QuantMatMulTest, FusedInt8MatchesDequantizeThenMatMulBitwise) {
   }
 }
 
-TEST(RegistryTest, ScalarIsRegisteredForEveryOp) {
-  auto& registry = k::KernelRegistry::Instance();
-  for (int op = 0; op < k::kNumOps; ++op) {
-    EXPECT_NE(nullptr, registry.Find(static_cast<k::OpKind>(op), DType::kF32,
-                                     k::Backend::kScalar))
-        << "op=" << op;
+/// Calls the entry point `entry` under `backend` and the backend kernel
+/// `direct` through the same `call(fn, out)` into dirty buffers, and
+/// expects the same bytes.
+template <typename Fn, typename Call>
+void ExpectEntryComputes(k::Backend backend, Fn* entry, Fn* direct,
+                         size_t out_size, Call call) {
+  std::vector<float> via_entry(out_size, -123.25f);
+  std::vector<float> via_direct(out_size, 456.75f);
+  {
+    BackendGuard guard(backend);
+    call(entry, via_entry.data());
   }
-  EXPECT_NE(nullptr, registry.Find(k::OpKind::kMatMul, DType::kI8,
-                                   k::Backend::kScalar));
+  call(direct, via_direct.data());
+  EXPECT_EQ(0, std::memcmp(via_entry.data(), via_direct.data(),
+                           out_size * sizeof(float)));
+}
+
+/// One set of inputs for every entry point. `image` is NHWC [2,5,4,3];
+/// im2col with a 3x3 kernel, stride 2, pad 1 gives [2*3*2, 27].
+struct KernelInputs {
+  Rng rng{27};
+  Tensor a = Tensor::Randn({4, 10}, &rng);
+  Tensor b = Tensor::Randn({10, 9}, &rng);
+  Tensor bq = b.QuantizeInt8();
+  Tensor bias = Tensor::Randn({10}, &rng);
+  Tensor c = Tensor::Randn({4, 9}, &rng);
+  Tensor image = Tensor::Randn({2, 5, 4, 3}, &rng);
+
+  static constexpr size_t kIm2ColSize = 12 * 27;
+
+  /// `call` arguments for ExpectEntryComputes over `image`.
+  auto Map() const {
+    return [this](auto* fn, float* out) {
+      fn(image.data(), out, static_cast<int>(image.size()));
+    };
+  }
+  auto Im2Col() const {
+    return [this](auto* fn, float* out) {
+      fn(image.data(), out, 2, 5, 4, 3, 3, 3, 2, 1);
+    };
+  }
+};
+
+TEST(RegistryTest, ScalarIsRegisteredForEveryOp) {
+  // Under kScalar every entry point computes exactly its scalar kernel.
+  const KernelInputs in;
+  const k::Backend sc = k::Backend::kScalar;
+  const size_t map_size = in.image.size();
+  ExpectEntryComputes(sc, &k::MatMulInto, &k::scalar::MatMulInto, 4 * 9,
+                      [&](auto* fn, float* out) {
+                        fn(in.a.data(), in.b.data(), out, 4, 10, 9);
+                      });
+  ExpectEntryComputes(sc, &k::MatMulI8Into, &k::scalar::MatMulI8Into, 4 * 9,
+                      [&](auto* fn, float* out) {
+                        fn(in.a.data(), in.bq.qdata(), in.bq.qscale(),
+                           in.bq.qzero(), out, 4, 10, 9);
+                      });
+  ExpectEntryComputes(sc, &k::AddRowsInto, &k::scalar::AddRowsInto, 4 * 10,
+                      [&](auto* fn, float* out) {
+                        fn(in.a.data(), in.bias.data(), out, 4, 10);
+                      });
+  ExpectEntryComputes(sc, &k::ReluInto, &k::scalar::ReluInto, map_size,
+                      in.Map());
+  ExpectEntryComputes(sc, &k::TanhInto, &k::scalar::TanhInto, map_size,
+                      in.Map());
+  ExpectEntryComputes(sc, &k::SigmoidInto, &k::scalar::SigmoidInto, map_size,
+                      in.Map());
+  ExpectEntryComputes(sc, &k::GeluInto, &k::scalar::GeluInto, map_size,
+                      in.Map());
+  ExpectEntryComputes(sc, &k::ConcatRowsInto, &k::scalar::ConcatRowsInto,
+                      4 * 19, [&](auto* fn, float* out) {
+                        fn(in.a.data(), in.c.data(), out, 4, 10, 9);
+                      });
+  ExpectEntryComputes(sc, &k::Im2ColInto, &k::scalar::Im2ColInto,
+                      KernelInputs::kIm2ColSize, in.Im2Col());
 }
 
 TEST(RegistryTest, ResolveFallsBackToScalarForUnregisteredSlots) {
-  auto& registry = k::KernelRegistry::Instance();
-  // Tanh has no vectorized variant: the simd key holds the same scalar fn
-  // (libm per element), so resolving either backend lands on one kernel.
-  const auto scalar =
-      registry.Resolve(k::OpKind::kTanh, DType::kF32, k::Backend::kScalar);
-  const auto simd =
-      registry.Resolve(k::OpKind::kTanh, DType::kF32, k::Backend::kSimd);
-  EXPECT_EQ(scalar, simd);  // Same libm-per-element kernel either way.
+  // Tanh, Sigmoid and Im2Col have no vector variant: under kSimd their
+  // entry points still compute the scalar kernel (libm per element).
+  const KernelInputs in;
+  const k::Backend sd = k::Backend::kSimd;
+  const size_t map_size = in.image.size();
+  ExpectEntryComputes(sd, &k::TanhInto, &k::scalar::TanhInto, map_size,
+                      in.Map());
+  ExpectEntryComputes(sd, &k::SigmoidInto, &k::scalar::SigmoidInto, map_size,
+                      in.Map());
+  ExpectEntryComputes(sd, &k::Im2ColInto, &k::scalar::Im2ColInto,
+                      KernelInputs::kIm2ColSize, in.Im2Col());
 }
 
 TEST(RegistryTest, BackendOverrideWinsAndClears) {

@@ -17,7 +17,7 @@
 #include "cot/chain_config.h"
 #include "cot/pipeline.h"
 #include "data/generator.h"
-#include "serve/server.h"
+#include "serve/replica_pool.h"
 #include "vlm/foundation_model.h"
 
 namespace vsd::serve {
@@ -121,12 +121,13 @@ TEST_P(ServeIdentityTest, FaultsOffServingMatchesDirectPredictBatch) {
   config.num_workers = std::get<1>(GetParam());
   config.max_queue = static_cast<int>(samples.size());
   config.max_batch_delay_micros = 200;
-  StressServer server(&world.pipeline, config);
+  Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
+                  /*pool=*/nullptr);
 
   std::vector<ServeFuture> futures;
   futures.reserve(samples.size());
   for (const data::VideoSample* sample : samples) {
-    futures.push_back(server.Submit(*sample));
+    futures.push_back(replica.Submit(*sample, {}));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     vsd::Result<ServeResult> result = Get(futures[i]);
@@ -136,9 +137,9 @@ TEST_P(ServeIdentityTest, FaultsOffServingMatchesDirectPredictBatch) {
     EXPECT_EQ(result->degradation, DegradationLevel::kFull);
     EXPECT_EQ(result->attempts, 1);
   }
-  server.Shutdown();
+  replica.Shutdown();
 
-  const ServeStatsSnapshot stats = server.Stats();
+  const ServeStatsSnapshot stats = replica.Stats();
   EXPECT_EQ(stats.submitted, static_cast<int64_t>(samples.size()));
   EXPECT_EQ(stats.completed_full, static_cast<int64_t>(samples.size()));
   EXPECT_EQ(stats.retries, 0);
@@ -155,7 +156,7 @@ INSTANTIATE_TEST_SUITE_P(BatchWorkerThreadSweep, ServeIdentityTest,
 
 // ------------------------------------------------- multi-producer ingest ----
 
-// Ingest stress: N submitter threads racing into one server must not change
+// Ingest stress: N submitter threads racing into one replica must not change
 // a single bit of any result. Each producer owns a strided slice of the
 // dataset and its own future vector (the outer vector is pre-sized, so no
 // producer ever touches shared state); per-sample results are then checked
@@ -177,7 +178,8 @@ TEST_F(ServeTest, MultiProducerIngestMatchesDirectPredictBatch) {
   // Queue bound above the total in flight: this test is about racing
   // submission, not backpressure, so no request may be rejected.
   config.max_queue = static_cast<int>(samples.size()) * kRounds;
-  StressServer server(&world.pipeline, config);
+  Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
+                  /*pool=*/nullptr);
 
   // futures[p] belongs to producer p alone; sample_of[p] records the
   // submission order so results can be matched back to `direct`.
@@ -191,7 +193,7 @@ TEST_F(ServeTest, MultiProducerIngestMatchesDirectPredictBatch) {
         for (int round = 0; round < kRounds; ++round) {
           for (size_t i = static_cast<size_t>(p); i < samples.size();
                i += kProducers) {
-            futures[p].push_back(server.Submit(*samples[i]));
+            futures[p].push_back(replica.Submit(*samples[i], {}));
             sample_of[p].push_back(i);
           }
         }
@@ -215,9 +217,9 @@ TEST_F(ServeTest, MultiProducerIngestMatchesDirectPredictBatch) {
   }
   EXPECT_EQ(resolved,
             static_cast<int64_t>(samples.size()) * kRounds);
-  server.Shutdown();
+  replica.Shutdown();
 
-  const ServeStatsSnapshot stats = server.Stats();
+  const ServeStatsSnapshot stats = replica.Stats();
   EXPECT_EQ(stats.submitted, resolved);
   EXPECT_EQ(stats.completed_full, resolved);
   EXPECT_EQ(stats.rejected_queue_full, 0);
@@ -233,11 +235,12 @@ TEST_F(ServeTest, BackpressureRejectsBeyondBoundAndShutdownDrains) {
   ServeConfig config;
   config.max_queue = 2;
   config.num_workers = 0;  // Requests queue up; nothing consumes them.
-  StressServer server(&world.pipeline, config);
+  Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
+                  /*pool=*/nullptr);
 
   std::vector<ServeFuture> futures;
   for (int i = 0; i < 5; ++i) {
-    futures.push_back(server.Submit(world.dataset.samples[0]));
+    futures.push_back(replica.Submit(world.dataset.samples[0], {}));
   }
   // The first two are queued (pending); the rest rejected immediately.
   for (int i = 2; i < 5; ++i) {
@@ -245,20 +248,20 @@ TEST_F(ServeTest, BackpressureRejectsBeyondBoundAndShutdownDrains) {
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   }
-  EXPECT_EQ(server.Stats().rejected_queue_full, 3);
+  EXPECT_EQ(replica.Stats().rejected_queue_full, 3);
 
-  server.Shutdown();
+  replica.Shutdown();
   for (int i = 0; i < 2; ++i) {
     vsd::Result<ServeResult> dropped = Get(futures[i]);
     ASSERT_FALSE(dropped.ok());
     EXPECT_EQ(dropped.status().code(), StatusCode::kUnavailable);
   }
-  const ServeStatsSnapshot stats = server.Stats();
+  const ServeStatsSnapshot stats = replica.Stats();
   EXPECT_EQ(stats.dropped_on_shutdown, 2);
   EXPECT_EQ(stats.Resolved() + stats.rejected_queue_full, stats.submitted);
 
   // Post-shutdown submission resolves immediately as Unavailable.
-  ServeFuture late = server.Submit(world.dataset.samples[0]);
+  ServeFuture late = replica.Submit(world.dataset.samples[0], {});
   EXPECT_EQ(Get(late).status().code(), StatusCode::kUnavailable);
 }
 
@@ -271,27 +274,30 @@ TEST_F(ServeTest, DeadlineExpiresBeforeBatchCut) {
   // slowness only makes the deadline *more* expired).
   config.max_batch_delay_micros = 1000000;
   config.num_workers = 1;
-  StressServer server(&world.pipeline, config);
+  Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
+                  /*pool=*/nullptr);
 
-  ServeFuture future =
-      server.Submit(world.dataset.samples[0], /*deadline_micros=*/2000);
+  RequestOptions options;
+  options.deadline_micros = 2000;
+  ServeFuture future = replica.Submit(world.dataset.samples[0], options);
   vsd::Result<ServeResult> result = Get(future);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  server.Shutdown();
-  EXPECT_EQ(server.Stats().deadline_exceeded, 1);
+  replica.Shutdown();
+  EXPECT_EQ(replica.Stats().deadline_exceeded, 1);
 }
 
 TEST_F(ServeTest, InvalidInputResolvesAsInvalidArgument) {
   ModelWorld& world = ModelWorld::Shared();
   ServeConfig config;
   config.max_batch_delay_micros = 100;
-  StressServer server(&world.pipeline, config);
+  Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
+                  /*pool=*/nullptr);
 
   data::VideoSample bad = world.dataset.samples[0];
   bad.expressive_frame = img::Image();  // Empty frame: decoder failure.
-  ServeFuture bad_future = server.Submit(bad);
-  ServeFuture good_future = server.Submit(world.dataset.samples[1]);
+  ServeFuture bad_future = replica.Submit(bad, {});
+  ServeFuture good_future = replica.Submit(world.dataset.samples[1], {});
 
   vsd::Result<ServeResult> bad_result = Get(bad_future);
   ASSERT_FALSE(bad_result.ok());
@@ -301,8 +307,8 @@ TEST_F(ServeTest, InvalidInputResolvesAsInvalidArgument) {
   ASSERT_TRUE(good_result.ok()) << good_result.status().ToString();
   EXPECT_EQ(good_result->prob_stressed,
             world.pipeline.PredictProbStressed(world.dataset.samples[1]));
-  server.Shutdown();
-  EXPECT_EQ(server.Stats().invalid_arguments, 1);
+  replica.Shutdown();
+  EXPECT_EQ(replica.Stats().invalid_arguments, 1);
 }
 
 // ----------------------------------------------------- faults + retries ----
@@ -327,12 +333,12 @@ std::vector<Outcome> RunFaultySession(const FaultConfig& faults,
                                       const baselines::StressClassifier* fb) {
   ModelWorld& world = ModelWorld::Shared();
   FaultInjector::Global().Configure(faults);
-  StressServer server(&world.pipeline, config, fb);
+  Replica replica(0, &world.pipeline, config, fb, /*pool=*/nullptr);
   std::vector<Outcome> outcomes;
   // Sequential submission pins batch composition (one request per batch),
   // so the whole session is deterministic end to end.
   for (const auto& sample : world.dataset.samples) {
-    ServeFuture future = server.Submit(sample);
+    ServeFuture future = replica.Submit(sample, {});
     vsd::Result<ServeResult> result = Get(future);
     Outcome o;
     o.ok = result.ok();
@@ -342,7 +348,7 @@ std::vector<Outcome> RunFaultySession(const FaultConfig& faults,
     o.attempts = result.ok() ? result->attempts : 0;
     outcomes.push_back(o);
   }
-  server.Shutdown();
+  replica.Shutdown();
   FaultInjector::Global().Disable();
   return outcomes;
 }
@@ -453,20 +459,21 @@ TEST_F(ServeTest, BreakerShortCircuitsAfterConsecutiveFailures) {
   config.retry.max_retries = 0;
   config.breaker_threshold = 1;
   config.breaker_reset_micros = 60000000;  // Stays open for the whole test.
-  StressServer server(&world.pipeline, config);
+  Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
+                  /*pool=*/nullptr);
 
-  ServeFuture first = server.Submit(world.dataset.samples[0]);
+  ServeFuture first = replica.Submit(world.dataset.samples[0], {});
   vsd::Result<ServeResult> opened = Get(first);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened->degradation, DegradationLevel::kPrior);
   EXPECT_EQ(opened->attempts, 1);  // Attempted once, failed, opened breaker.
 
-  ServeFuture second = server.Submit(world.dataset.samples[1]);
+  ServeFuture second = replica.Submit(world.dataset.samples[1], {});
   vsd::Result<ServeResult> shorted = Get(second);
   ASSERT_TRUE(shorted.ok());
   EXPECT_EQ(shorted->degradation, DegradationLevel::kPrior);
   EXPECT_EQ(shorted->attempts, 0);  // Breaker open: pipeline never touched.
-  server.Shutdown();
+  replica.Shutdown();
 }
 
 }  // namespace
