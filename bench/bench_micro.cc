@@ -4,17 +4,13 @@
 // graph executor off/on. These bound the per-sample costs reported in
 // Figure 6. Besides the google-benchmark report, the binary writes a
 // `BENCH_micro.json` sidecar with the compiled-vs-eager wall times of the
-// perturbation loop plus a per-kernel roofline section (elements/s and
-// bytes moved per op, scalar vs SIMD vs int8), so CI can track both the
-// graph executor's speedup and the kernel backends without parsing
-// benchmark output.
+// perturbation loop, so CI can track the graph executor's speedup without
+// parsing benchmark output. Kernel timings at the model's own shapes are
+// the repository benchmark's `tensor.*` probes (benchmark/README.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "bench/harness.h"
 #include "common/rng.h"
@@ -142,135 +138,10 @@ void BM_ExplainerPerturbations(benchmark::State& state) {
 }
 BENCHMARK(BM_ExplainerPerturbations)->Arg(0)->Arg(1);
 
-// ---- Per-kernel roofline: scalar vs SIMD vs int8 ----
-
-/// Times `fn` (after one warm-up call) until ~40ms of wall clock has
-/// accumulated, in batches of 8 so timer overhead stays negligible.
-/// Returns {iters, seconds}.
-template <typename Fn>
-std::pair<int64_t, double> TimeKernelLoop(Fn&& fn) {
-  fn();
-  vsd::bench::PerfTimer timer;
-  int64_t iters = 0;
-  double elapsed = 0.0;
-  do {
-    for (int i = 0; i < 8; ++i) fn();
-    iters += 8;
-    elapsed = timer.Seconds();
-  } while (elapsed < 0.04);
-  return {iters, elapsed};
-}
-
-/// One roofline row: times `fn` under `backend` and appends a JSON object
-/// to `rows`. `elems` is output elements per call; `bytes` is the minimum
-/// bytes moved per call (each operand read once + output written once),
-/// so gb_per_s is the achieved lower-bound bandwidth of the op.
-template <typename Fn>
-void RooflineRow(std::string* rows, const char* op, const char* dtype,
-                 vsd::tensor::kernels::Backend backend, const char* shape,
-                 int64_t elems, int64_t bytes, Fn&& fn) {
-  namespace k = ::vsd::tensor::kernels;
-  k::SetBackend(backend);
-  const auto [iters, secs] = TimeKernelLoop(fn);
-  k::ClearBackendOverride();
-  const double elems_per_s =
-      secs > 0.0 ? static_cast<double>(elems) * static_cast<double>(iters) / secs : 0.0;
-  const double gb_per_s =
-      secs > 0.0
-          ? static_cast<double>(bytes) * static_cast<double>(iters) / secs / 1e9
-          : 0.0;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"op\": \"%s\", \"dtype\": \"%s\", \"backend\": \"%s\","
-                " \"shape\": \"%s\", \"iters\": %lld, \"wall_s\": %.6f,"
-                " \"gelems_per_s\": %.4f, \"bytes_per_call\": %lld,"
-                " \"gb_per_s\": %.4f}",
-                op, dtype, k::BackendName(backend), shape,
-                static_cast<long long>(iters), secs, elems_per_s / 1e9,
-                static_cast<long long>(bytes), gb_per_s);
-  if (!rows->empty()) *rows += ",\n";
-  *rows += buf;
-  std::fprintf(stderr, "[bench] roofline %-10s %-4s %-6s %.3f Gelem/s %.2f GB/s\n",
-               op, dtype, k::BackendName(backend), elems_per_s / 1e9,
-               gb_per_s);
-}
-
-/// Benchmarks every vector kernel under each compiled backend and
-/// returns the JSON rows of the sidecar's "roofline" array. Shapes are
-/// fixed mid-size workloads; bytes assume each operand is touched once.
-std::string RooflineJson() {
-  namespace k = ::vsd::tensor::kernels;
-  Rng rng(11);
-  constexpr int kM = 64, kK = 256, kN = 256;
-  Tensor a = Tensor::Randn({kM, kK}, &rng);
-  Tensor b = Tensor::Randn({kK, kN}, &rng);
-  const Tensor bq = b.QuantizeInt8();
-  std::vector<float> out(static_cast<size_t>(kM) * kN);
-  constexpr int kRows = 256, kCols = 256;
-  Tensor rows_in = Tensor::Randn({kRows, kCols}, &rng);
-  Tensor bias = Tensor::Randn({kCols}, &rng);
-  std::vector<float> rows_out(static_cast<size_t>(kRows) * kCols);
-  constexpr int kMapN = 1 << 16;
-  Tensor map_in = Tensor::Randn({kMapN}, &rng);
-  std::vector<float> map_out(kMapN);
-  constexpr int kDa = 128, kDb = 128;
-  Tensor ca = Tensor::Randn({kRows, kDa}, &rng);
-  Tensor cb = Tensor::Randn({kRows, kDb}, &rng);
-  std::vector<float> cat_out(static_cast<size_t>(kRows) * (kDa + kDb));
-
-  std::vector<k::Backend> backends = {k::Backend::kScalar};
-  if (k::SimdCompiled()) backends.push_back(k::Backend::kSimd);
-
-  std::string rows;
-  for (k::Backend be : backends) {
-    RooflineRow(&rows, "MatMul", "f32", be, "64x256x256",
-                int64_t{kM} * kN,
-                int64_t{4} * (kM * kK + kK * kN + kM * kN), [&] {
-                  k::MatMulInto(a.data(), b.data(), out.data(), kM, kK, kN);
-                  benchmark::DoNotOptimize(out.data());
-                });
-    RooflineRow(&rows, "MatMul", "i8", be, "64x256x256",
-                int64_t{kM} * kN,
-                // fp32 a + int8 b + per-row scale/zero + fp32 out.
-                int64_t{4} * kM * kK + int64_t{kK} * kN + int64_t{8} * kK +
-                    int64_t{4} * kM * kN,
-                [&] {
-                  k::MatMulI8Into(a.data(), bq.qdata(), bq.qscale(),
-                                  bq.qzero(), out.data(), kM, kK, kN);
-                  benchmark::DoNotOptimize(out.data());
-                });
-    RooflineRow(&rows, "AddRows", "f32", be, "256x256",
-                int64_t{kRows} * kCols,
-                int64_t{4} * (2 * kRows * kCols + kCols), [&] {
-                  k::AddRowsInto(rows_in.data(), bias.data(), rows_out.data(),
-                                 kRows, kCols);
-                  benchmark::DoNotOptimize(rows_out.data());
-                });
-    RooflineRow(&rows, "Relu", "f32", be, "65536", int64_t{kMapN},
-                int64_t{4} * 2 * kMapN, [&] {
-                  k::ReluInto(map_in.data(), map_out.data(), kMapN);
-                  benchmark::DoNotOptimize(map_out.data());
-                });
-    RooflineRow(&rows, "Gelu", "f32", be, "65536", int64_t{kMapN},
-                int64_t{4} * 2 * kMapN, [&] {
-                  k::GeluInto(map_in.data(), map_out.data(), kMapN);
-                  benchmark::DoNotOptimize(map_out.data());
-                });
-    RooflineRow(&rows, "ConcatRows", "f32", be, "256x(128+128)",
-                int64_t{kRows} * (kDa + kDb),
-                int64_t{4} * 2 * kRows * (kDa + kDb), [&] {
-                  k::ConcatRowsInto(ca.data(), cb.data(), cat_out.data(),
-                                    kRows, kDa, kDb);
-                  benchmark::DoNotOptimize(cat_out.data());
-                });
-  }
-  return rows;
-}
-
-/// Times the occlusion perturbation loop in both executor modes, runs the
-/// per-kernel roofline, and writes the `BENCH_micro.json` sidecar through
-/// bench::WriteSidecarFile. Runs after the registered benchmarks so a
-/// `--benchmark_filter` run still refreshes the sidecar.
+/// Times the occlusion perturbation loop in both executor modes and writes
+/// the `BENCH_micro.json` sidecar through bench::WriteSidecarFile. Runs
+/// after the registered benchmarks so a `--benchmark_filter` run still
+/// refreshes the sidecar.
 void WriteGraphExecSidecar() {
   namespace graph = ::vsd::nn::graph;
   vsd::data::Dataset dataset = vsd::data::MakeUvsdSimSmall(2, 9);
@@ -301,7 +172,6 @@ void WriteGraphExecSidecar() {
   const double eager_s = time_mode(false);
   const double compiled_s = time_mode(true);
   graph::SetGraphExecEnabled(previous);
-  const std::string roofline = RooflineJson();
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\n"
@@ -315,14 +185,13 @@ void WriteGraphExecSidecar() {
                 "    \"compiled_wall_s\": %.6f,\n"
                 "    \"compiled_speedup\": %.3f\n"
                 "  },\n"
-                "  \"simd_compiled\": %s,\n"
-                "  \"roofline\": [\n",
+                "  \"simd_compiled\": %s\n"
+                "}\n",
                 segmentation.num_segments, segmentation.num_segments + 1,
                 kRepeats, eager_s, compiled_s,
                 compiled_s > 0.0 ? eager_s / compiled_s : 0.0,
                 vsd::tensor::kernels::SimdCompiled() ? "true" : "false");
-  const std::string json = std::string(buf) + roofline + "\n  ]\n}\n";
-  if (!vsd::bench::WriteSidecarFile("BENCH_micro.json", json)) return;
+  if (!vsd::bench::WriteSidecarFile("BENCH_micro.json", buf)) return;
   std::fprintf(stderr,
                "[bench] graph exec: eager %.3fs compiled %.3fs (x%.2f) -> "
                "BENCH_micro.json\n",

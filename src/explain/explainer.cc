@@ -30,16 +30,21 @@ std::vector<int> Attribution::RankedSegments() const {
 img::Image ApplySegmentMask(const img::Image& image,
                             const img::Segmentation& segmentation,
                             const std::vector<float>& keep) {
+  return ApplySegmentMask(image, segmentation, keep, image.MeanValue());
+}
+
+img::Image ApplySegmentMask(const img::Image& image,
+                            const img::Segmentation& segmentation,
+                            const std::vector<float>& keep, float image_mean) {
   VSD_CHECK(static_cast<int>(keep.size()) == segmentation.num_segments)
       << "keep vector size";
   img::Image out = image;
-  const float mean = image.MeanValue();
   for (int y = 0; y < image.height(); ++y) {
     for (int x = 0; x < image.width(); ++x) {
       const int segment = segmentation.LabelAt(y, x);
       const float k = keep[segment];
       if (k < 1.0f) {
-        out.at(y, x) = k * image.at(y, x) + (1.0f - k) * mean;
+        out.at(y, x) = k * image.at(y, x) + (1.0f - k) * image_mean;
       }
     }
   }

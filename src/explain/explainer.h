@@ -74,6 +74,13 @@ img::Image ApplySegmentMask(const img::Image& image,
                             const img::Segmentation& segmentation,
                             const std::vector<float>& keep);
 
+/// As above with the mean given: `image_mean` must be `image.MeanValue()`.
+/// An explainer perturbs one image many times, so it computes the mean
+/// once per Explain rather than once per perturbation.
+img::Image ApplySegmentMask(const img::Image& image,
+                            const img::Segmentation& segmentation,
+                            const std::vector<float>& keep, float image_mean);
+
 }  // namespace vsd::explain
 
 #endif  // VSD_EXPLAIN_EXPLAINER_H_

@@ -18,9 +18,10 @@ Attribution KernelShapExplainer::Explain(
   if (d < 2) return result;
 
   // Base values: empty and full coalitions, one two-image batch.
+  const float image_mean = image.MeanValue();
   std::vector<img::Image> anchors;
-  anchors.push_back(
-      ApplySegmentMask(image, segmentation, std::vector<float>(d, 0.0f)));
+  anchors.push_back(ApplySegmentMask(
+      image, segmentation, std::vector<float>(d, 0.0f), image_mean));
   anchors.push_back(image);
   const std::vector<double> anchor_probs = classifier(anchors);
   const double f_empty = anchor_probs[0];
@@ -65,7 +66,8 @@ Attribution KernelShapExplainer::Explain(
       for (int j : chosen) keep[j] = 1.0f;
       // Appends into the pre-reserved batch buffer; capacity never grows.
       // vsd-lint: allow(hot-path-alloc)
-      perturbed.push_back(ApplySegmentMask(image, segmentation, keep));
+      perturbed.push_back(
+          ApplySegmentMask(image, segmentation, keep, image_mean));
       masks[i] = std::move(keep);
     }
     const std::vector<double> batch_responses = classifier(perturbed);

@@ -27,6 +27,7 @@ Attribution LimeExplainer::Explain(const BatchClassifierFn& classifier,
   std::vector<std::vector<float>> masks(num_samples_);
   std::vector<double> responses(num_samples_, 0.0);
   std::vector<double> weights(num_samples_, 0.0);
+  const float image_mean = image.MeanValue();
 
   // Batches parallelize across the pool; within a batch the perturbed
   // images are generated from their per-index streams and evaluated in a
@@ -48,7 +49,8 @@ Attribution LimeExplainer::Explain(const BatchClassifierFn& classifier,
       }
       // Appends into the pre-reserved batch buffer; capacity never grows.
       // vsd-lint: allow(hot-path-alloc)
-      perturbed.push_back(ApplySegmentMask(image, segmentation, keep));
+      perturbed.push_back(
+          ApplySegmentMask(image, segmentation, keep, image_mean));
       // Exponential kernel on cosine distance to the all-ones mask:
       // cos(z, 1) = |z| / sqrt(|z| * d) = sqrt(|z| / d).
       const double cos_sim =

@@ -16,6 +16,7 @@ Attribution OcclusionExplainer::Explain(
       classifier(std::vector<img::Image>{image}).front();
   ++result.model_evaluations;
   const int batch_size = DefaultBatchSize();
+  const float image_mean = image.MeanValue();
   for (int64_t b = 0; b < NumBatches(d, batch_size); ++b) {
     const auto [begin, end] = BatchBounds(d, batch_size, b);
     std::vector<img::Image> perturbed;
@@ -23,7 +24,8 @@ Attribution OcclusionExplainer::Explain(
     for (int64_t j = begin; j < end; ++j) {
       std::vector<float> keep(d, 1.0f);
       keep[j] = 0.0f;
-      perturbed.push_back(ApplySegmentMask(image, segmentation, keep));
+      perturbed.push_back(
+          ApplySegmentMask(image, segmentation, keep, image_mean));
     }
     const std::vector<double> f = classifier(perturbed);
     for (int64_t j = begin; j < end; ++j) {

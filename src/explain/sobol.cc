@@ -84,6 +84,7 @@ Attribution SobolExplainer::Explain(const BatchClassifierFn& classifier,
   // dimension accumulation stays serial in index order, keeping the
   // estimates bit-identical for every thread count and batch size.
   const int batch_size = DefaultBatchSize();
+  const float image_mean = image.MeanValue();
   auto evaluate_rows =
       [&](const std::vector<std::vector<float>>& rows) {
         std::vector<double> f(rows.size());
@@ -98,7 +99,7 @@ Attribution SobolExplainer::Explain(const BatchClassifierFn& classifier,
             // Appends into the pre-reserved batch buffer above.
             // vsd-lint: allow(hot-path-alloc)
             perturbed.push_back(
-                ApplySegmentMask(image, segmentation, rows[i]));
+                ApplySegmentMask(image, segmentation, rows[i], image_mean));
           }
           const std::vector<double> batch_f = classifier(perturbed);
           for (int64_t i = begin; i < end; ++i) f[i] = batch_f[i - begin];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -166,28 +167,43 @@ Image GaussianBlur(const Image& image, float sigma) {
   return out;
 }
 
-Image Resize(const Image& image, int new_width, int new_height) {
+void ResizeInto(const Image& image, int new_width, int new_height,
+                float* out) {
   VSD_CHECK(new_width > 0 && new_height > 0) << "Resize to empty";
-  Image out(new_width, new_height);
-  const float sx = static_cast<float>(image.width()) / new_width;
-  const float sy = static_cast<float>(image.height()) / new_height;
+  const int width = image.width();
+  const int height = image.height();
+  const float sx = static_cast<float>(width) / new_width;
+  const float sy = static_cast<float>(height) / new_height;
+  // Output column x blends source columns x0 and x1 (clamped to the
+  // image) with weights 1 - wx and wx.
+  struct ColumnTaps {
+    int x0, x1;
+    float w0, w1;
+  };
+  std::vector<ColumnTaps> columns(new_width);
+  for (int x = 0; x < new_width; ++x) {
+    const float fx = (x + 0.5f) * sx - 0.5f;
+    const int x0 = static_cast<int>(std::floor(fx));
+    const float wx = fx - x0;
+    columns[x] = {std::clamp(x0, 0, width - 1),
+                  std::clamp(x0 + 1, 0, width - 1), 1 - wx, wx};
+  }
+  const float* pixels = image.pixels().data();
   for (int y = 0; y < new_height; ++y) {
+    const float fy = (y + 0.5f) * sy - 0.5f;
+    const int y0 = static_cast<int>(std::floor(fy));
+    const float wy = fy - y0;
+    const float* row0 =
+        pixels + static_cast<size_t>(std::clamp(y0, 0, height - 1)) * width;
+    const float* row1 =
+        pixels + static_cast<size_t>(std::clamp(y0 + 1, 0, height - 1)) * width;
+    float* dst = out + static_cast<size_t>(y) * new_width;
     for (int x = 0; x < new_width; ++x) {
-      const float fy = (y + 0.5f) * sy - 0.5f;
-      const float fx = (x + 0.5f) * sx - 0.5f;
-      const int y0 = static_cast<int>(std::floor(fy));
-      const int x0 = static_cast<int>(std::floor(fx));
-      const float wy = fy - y0;
-      const float wx = fx - x0;
-      const float v =
-          (1 - wy) * ((1 - wx) * image.AtClamped(y0, x0) +
-                      wx * image.AtClamped(y0, x0 + 1)) +
-          wy * ((1 - wx) * image.AtClamped(y0 + 1, x0) +
-                wx * image.AtClamped(y0 + 1, x0 + 1));
-      out.at(y, x) = v;
+      const ColumnTaps& t = columns[x];
+      dst[x] = (1 - wy) * (t.w0 * row0[t.x0] + t.w1 * row0[t.x1]) +
+               wy * (t.w0 * row1[t.x0] + t.w1 * row1[t.x1]);
     }
   }
-  return out;
 }
 
 void NoiseMaskedRegion(Image* image, const std::vector<uint8_t>& mask,

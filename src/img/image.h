@@ -74,8 +74,12 @@ void AddGaussianNoise(Image* image, float stddev, Rng* rng);
 /// Separable Gaussian blur.
 Image GaussianBlur(const Image& image, float sigma);
 
-/// Bilinear resize.
-Image Resize(const Image& image, int new_width, int new_height);
+/// Bilinear resize into `out`: new_height rows of new_width floats,
+/// row-major. Each output column's source taps and weights are computed
+/// once per call, and no Image is built, so callers can resample straight
+/// into a tensor.
+void ResizeInto(const Image& image, int new_width, int new_height,
+                float* out);
 
 // ---- Masked perturbations (used by explainers & faithfulness eval). ----
 

@@ -201,8 +201,8 @@ void ReluInto(const float* x, float* out, int n) {
   UseSimd() ? simd::ReluInto(x, out, n) : scalar::ReluInto(x, out, n);
 }
 
-// Tanh, Sigmoid and Im2Col have no vector variant (see
-// kernels_backends.h), so both backends run the scalar loop.
+// Tanh and Sigmoid have no vector variant (see kernels_backends.h), so
+// both backends run the scalar loop.
 void TanhInto(const float* x, float* out, int n) {
   scalar::TanhInto(x, out, n);
 }
@@ -223,7 +223,8 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
 
 void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
                 int kh, int kw, int stride, int pad) {
-  scalar::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad);
+  UseSimd() ? simd::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad)
+            : scalar::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad);
 }
 
 }  // namespace vsd::tensor::kernels

@@ -10,12 +10,13 @@ namespace vsd::tensor::kernels {
 // Every op that appears both in the eager tensor/autograd forward pass and
 // in the compiled graph executor (`nn::graph`) is reached exactly once
 // through the entry points below. Each calls its kernel directly: the ops
-// with a vector variant pick `simd::` or `scalar::` by `ActiveBackend()`,
-// the rest always call `scalar::`. Bit-identity between the execution
-// modes is therefore structural: both reach the same function for a given
-// backend, and the simd kernels are required to be bit-identical to the
-// scalar reference (fixed k-order accumulation, separate mul/add rounding
-// — see docs/INTERNALS.md "Kernels, dtypes & backends").
+// with a simd-backend variant (all but Tanh and Sigmoid) pick `simd::` or
+// `scalar::` by `ActiveBackend()`, the rest always call `scalar::`.
+// Bit-identity between the execution modes is therefore structural: both
+// reach the same function for a given backend, and the simd kernels are
+// required to be bit-identical to the scalar reference (fixed k-order
+// accumulation, separate mul/add rounding — see docs/INTERNALS.md
+// "Kernels, dtypes & backends").
 // `tests/graph_exec_test.cc` and `tests/quant_test.cc` pin the contract.
 //
 // Kernels fully define their output range (zero-initializing first where
@@ -26,7 +27,7 @@ namespace vsd::tensor::kernels {
 
 enum class Backend {
   kScalar = 0,  ///< Reference implementation.
-  kSimd = 1,    ///< Vectorized fp32 / int8 variants; bit-identical to scalar.
+  kSimd = 1,    ///< Vectorized / blocked variants; bit-identical to scalar.
 };
 
 constexpr const char* BackendName(Backend backend) {

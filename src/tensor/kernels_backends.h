@@ -53,11 +53,14 @@ void ReluInto(const float* x, float* out, int n);
 void GeluInto(const float* x, float* out, int n);
 void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
                     int da, int db);
-// Tanh/Sigmoid/Im2Col have no vector variant: the transcendental maps
-// must call the exact same libm function per element to stay
-// bit-identical, and im2col is a pure copy/scatter already bounded by
-// memory. Their entry points call the scalar functions under either
-// backend.
+/// Copies each kernel row's in-bounds taps in one run and zeroes only the
+/// padding taps, where the scalar loop zero-fills the whole output and
+/// bounds-tests every tap.
+void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
+                int kh, int kw, int stride, int pad);
+// Tanh/Sigmoid have no vector variant: the transcendental maps must call
+// the exact same libm function per element to stay bit-identical. Their
+// entry points call the scalar functions under either backend.
 
 }  // namespace simd
 

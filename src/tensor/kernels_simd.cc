@@ -9,6 +9,7 @@
 //   * tails reuse the same per-element expression as the vector body.
 // The scalar/simd bitwise sweeps in tests/quant_test.cc and
 // tests/graph_exec_test.cc pin the contract.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +22,8 @@
 
 #ifdef __AVX2__
 #include <immintrin.h>
+#elif defined(__SSE2__)
+#include <emmintrin.h>
 #endif
 
 namespace vsd::tensor::kernels::simd {
@@ -66,27 +69,237 @@ inline vs LoadQ(const int8_t* p) {
 }
 #endif
 
+// ---- Register-blocked MatMul ----
+//
+// Every out[i, j] is computed exactly as scalar::MatMulInto computes it:
+// start at +0.0f, then for p = 0..k-1 in order add a[i, p] * b[p, j],
+// skipping p where a[i, p] == 0, the product and the sum each rounded
+// once. Only the loop nest differs. The scalar loop reads and writes a
+// whole output row for every p; here a block of `out` stays in registers
+// for the whole k loop and is stored once (register blocking, Goto & van
+// de Geijn, ACM TOMS 2008). Row i of the product reads only row i of `a`,
+// so no result depends on m or on which rows share a block.
+//
+// A row's full vectors split into blocks of at most kTileVectors; the last
+// n % kLanes columns are a scalar tail. How the k loop skips zeros depends
+// on `a`, its row length and (for long rows) its zeros, counted once:
+//   * Tiles (weights, dense activations, short rows): R rows share each
+//     V-vector block (R = TileRows(V): conv1's n=8 at 4 lanes runs 4 rows x
+//     2 vectors, a 48-wide row 1 x 12) and every (row, p) tests its a
+//     value, a branch that seldom changes direction when zeros are rare.
+//   * Lists (ReLU outputs and their gradients: more than one zero in
+//     kListZeroShare, rows of at least kListMinK): each row lists its
+//     nonzero p's once per chunk of k, branch-free, and every block of the
+//     row walks the list, which leaves no data-dependent branch to
+//     mispredict. At the model's shapes that take it (conv2 and the
+//     projection, forward and backward) it needs about half the tiles'
+//     time; on dense `a` it needs ~1.2x, and on rows of 9-12 (the heads)
+//     building the list costs more than it saves (docs/INTERNALS.md).
+
+/// Accumulators per block. SSE and AVX2 both have 16 vector registers;
+/// this leaves room for the broadcast a[i, p] and a product.
+constexpr int kTileVectors = 12;
+/// Rows per block are capped: each is one more skip test per p.
+constexpr int kMaxTileRows = 4;
+/// `a` takes the list path when more than one value in this many is zero
+/// and its rows are at least kListMinK long.
+constexpr int kListZeroShare = 8;
+constexpr int kListMinK = 16;
+/// The list path lists nonzero p's in chunks of this many (on the stack).
+constexpr int kChunk = 256;
+
+constexpr int TileRows(int vectors) {
+  return kTileVectors / vectors < kMaxTileRows ? kTileVectors / vectors
+                                               : kMaxTileRows;
+}
+
+/// Calls fn.template operator()<V>(j) for each block of `vectors` full
+/// vectors, j being the block's first column: blocks of kTileVectors, then
+/// one of the rest.
+template <typename Fn>
+inline void ForEachBlock(int vectors, Fn&& fn) {
+  int j = 0;
+  for (; vectors >= kTileVectors; vectors -= kTileVectors) {
+    fn.template operator()<kTileVectors>(j);
+    j += kTileVectors * kLanes;
+  }
+  switch (vectors) {
+    case 1: fn.template operator()<1>(j); break;
+    case 2: fn.template operator()<2>(j); break;
+    case 3: fn.template operator()<3>(j); break;
+    case 4: fn.template operator()<4>(j); break;
+    case 5: fn.template operator()<5>(j); break;
+    case 6: fn.template operator()<6>(j); break;
+    case 7: fn.template operator()<7>(j); break;
+    case 8: fn.template operator()<8>(j); break;
+    case 9: fn.template operator()<9>(j); break;
+    case 10: fn.template operator()<10>(j); break;
+    case 11: fn.template operator()<11>(j); break;
+    default: break;
+  }
+}
+
+/// How many of x[0..count) compare equal to zero (-0.0f included).
+long long CountZeros(const float* x, long long count) {
+  const vf zero = vf{};
+  vs zeros = vs{};
+  long long i = 0;
+  for (; i + kLanes <= count; i += kLanes) zeros -= LoadF(x + i) == zero;
+  long long total = 0;
+  for (int l = 0; l < kLanes; ++l) total += zeros[l];
+  for (; i < count; ++i) total += x[i] == 0.0f;
+  return total;
+}
+
+/// Tile path: rows [0, R) x vector columns [0, V * kLanes) of `out`, with
+/// `a`, `b` and `out` offset to the tile's first row and column.
+template <int R, int V>
+inline void MatMulTile(const float* a, const float* b, float* out, int k,
+                       int n) {
+  vf acc[R][V];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) acc[r][v] = vf{};
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<long long>(p) * n;
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const float av = a[static_cast<long long>(r) * k + p];
+      if (av == 0.0f) continue;
+      const vf avv = Splat(av);
+      const float* bv = brow;
+#pragma GCC unroll 16
+      for (int v = 0; v < V; ++v, bv += kLanes) acc[r][v] += avv * LoadF(bv);
+    }
+  }
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+    float* ov = out + static_cast<long long>(r) * n;
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v, ov += kLanes) StoreF(ov, acc[r][v]);
+  }
+}
+
+/// Tile path: the V-vector column block at `b`/`out` for every row,
+/// TileRows(V) rows per tile. Not inlined, so that each V gets a register
+/// allocation of its own.
+template <int V>
+__attribute__((noinline)) void MatMulTileColumns(const float* a,
+                                                 const float* b, float* out,
+                                                 int m, int k, int n) {
+  constexpr int kRows = TileRows(V);
+  int i = 0;
+  for (; i + kRows <= m; i += kRows) {
+    MatMulTile<kRows, V>(a + static_cast<long long>(i) * k, b,
+                         out + static_cast<long long>(i) * n, k, n);
+  }
+  for (; i < m; ++i) {
+    MatMulTile<1, V>(a + static_cast<long long>(i) * k, b,
+                     out + static_cast<long long>(i) * n, k, n);
+  }
+}
+
+/// Lists the nonzero p's in [p0, end) of `arow` into `ps`, in order, and
+/// returns how many: the p's whose a value fails `== 0.0f`, as the scalar
+/// loop's skip test. No branch depends on the values. With SSE2, four
+/// values at a time: their nonzero mask picks the left-packed lane indices
+/// to store, and the mask's popcount advances the count.
+inline int ListNonzero(const float* arow, int p0, int end, int* ps) {
+  int count = 0;
+  int p = p0;
+#ifdef __SSE2__
+  alignas(16) static constexpr int kPacked[16][4] = {
+      {0, 0, 0, 0}, {0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 0, 0},
+      {2, 0, 0, 0}, {0, 2, 0, 0}, {1, 2, 0, 0}, {0, 1, 2, 0},
+      {3, 0, 0, 0}, {0, 3, 0, 0}, {1, 3, 0, 0}, {0, 1, 3, 0},
+      {2, 3, 0, 0}, {0, 2, 3, 0}, {1, 2, 3, 0}, {0, 1, 2, 3}};
+  static constexpr int kPopcount[16] = {0, 1, 1, 2, 1, 2, 2, 3,
+                                        1, 2, 2, 3, 2, 3, 3, 4};
+  const __m128 zero = _mm_setzero_ps();
+  for (; p + 4 <= end; p += 4) {
+    const int mask =
+        _mm_movemask_ps(_mm_cmpneq_ps(_mm_loadu_ps(arow + p), zero));
+    const __m128i lanes =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(kPacked[mask]));
+    // Writes four indices; only the first kPopcount[mask] are kept.
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ps + count),
+                     _mm_add_epi32(lanes, _mm_set1_epi32(p)));
+    count += kPopcount[mask];
+  }
+#endif
+  for (; p < end; ++p) {
+    ps[count] = p;
+    count += arow[p] != 0.0f;
+  }
+  return count;
+}
+
+/// List path: the V-vector column block at `b`/`out` for every row alone,
+/// k in chunks of kChunk, each chunk adding its listed p's to the block
+/// the last chunk left (+0.0f before the first).
+template <int V>
+__attribute__((noinline)) void MatMulListColumns(const float* a,
+                                                 const float* b, float* out,
+                                                 int m, int k, int n) {
+  int ps[kChunk];
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<long long>(i) * k;
+    vf acc[V];
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) acc[v] = vf{};
+    for (int p0 = 0; p0 < k; p0 += kChunk) {
+      const int count =
+          ListNonzero(arow, p0, k - p0 < kChunk ? k : p0 + kChunk, ps);
+      for (int q = 0; q < count; ++q) {
+        const vf avv = Splat(arow[ps[q]]);
+        const float* bv = b + static_cast<long long>(ps[q]) * n;
+#pragma GCC unroll 16
+        for (int v = 0; v < V; ++v, bv += kLanes) acc[v] += avv * LoadF(bv);
+      }
+    }
+    float* ov = out + static_cast<long long>(i) * n;
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v, ov += kLanes) StoreF(ov, acc[v]);
+  }
+}
+
+/// Both paths: the last `cols` (< kLanes) columns of every row, with `b`
+/// and `out` offset to the first of them, one float accumulator per
+/// element.
+void MatMulTailColumns(const float* a, const float* b, float* out, int m,
+                       int k, int n, int cols) {
+  for (int i = 0; i < m; ++i) {
+    float acc[kLanes] = {};
+    for (int p = 0; p < k; ++p) {
+      const float av = a[static_cast<long long>(i) * k + p];
+      if (av == 0.0f) continue;
+      const float* brow = b + static_cast<long long>(p) * n;
+      for (int j = 0; j < cols; ++j) acc[j] += av * brow[j];
+    }
+    float* orow = out + static_cast<long long>(i) * n;
+    for (int j = 0; j < cols; ++j) orow[j] = acc[j];
+  }
+}
+
 }  // namespace
 
 bool Available() { return true; }
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
-  std::memset(out, 0, static_cast<size_t>(m) * n * sizeof(float));
-  const int n8 = n - n % kLanes;
-  for (int i = 0; i < m; ++i) {
-    for (int p = 0; p < k; ++p) {
-      const float av = a[i * k + p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<long long>(p) * n;
-      float* orow = out + static_cast<long long>(i) * n;
-      const vf avv = Splat(av);
-      int j = 0;
-      for (; j < n8; j += kLanes) {
-        StoreF(orow + j, LoadF(orow + j) + avv * LoadF(brow + j));
-      }
-      for (; j < n; ++j) orow[j] += av * brow[j];
-    }
+  const long long size = static_cast<long long>(m) * k;
+  const bool lists =
+      k >= kListMinK && CountZeros(a, size) * kListZeroShare > size;
+  ForEachBlock(n / kLanes, [&]<int V>(int j) {
+    lists ? MatMulListColumns<V>(a, b + j, out + j, m, k, n)
+          : MatMulTileColumns<V>(a, b + j, out + j, m, k, n);
+  });
+  const int vector_cols = n - n % kLanes;
+  if (vector_cols < n) {
+    MatMulTailColumns(a, b + vector_cols, out + vector_cols, m, k, n,
+                      n - vector_cols);
   }
 }
 
@@ -227,5 +440,47 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
 }
 
 #endif  // VSD_SIMD_VECTOR_EXT
+
+// Im2Col needs no vector type. The scalar loop zero-fills the whole output
+// and then gathers every tap through a bounds test; here each kernel row's
+// padding taps are zeroed and its in-bounds taps, contiguous in NHWC, are
+// copied in one run, with no test per tap. Every float is copied bit for
+// bit or written as +0.0f, as in the scalar loop. The runs are a few floats
+// long (5 for conv1), so they stay plain loops: src/tensor/CMakeLists.txt
+// stops GCC turning them into memcpy and memset calls, which cost more
+// than the copy.
+void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
+                int kh, int kw, int stride, int pad) {
+  const int oh = (h + 2 * pad - kh) / stride + 1;
+  const int ow = (w + 2 * pad - kw) / stride + 1;
+  float* row = out;
+  for (int b = 0; b < n; ++b) {
+    const float* image = x + static_cast<long long>(b) * h * w * c;
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        // Taps [0, lo) fall left of the image, [lo, hi) inside it and
+        // [hi, kw) right of it; in floats, left, inside and right.
+        const int ix = ox * stride - pad;
+        const int lo = std::clamp(-ix, 0, kw);
+        const int hi = std::clamp(w - ix, lo, kw);
+        const int left = lo * c;
+        const int inside = (hi - lo) * c;
+        const int right = (kw - hi) * c;
+        for (int ky = 0; ky < kh; ++ky, row += left + inside + right) {
+          const int iy = oy * stride + ky - pad;
+          if (iy < 0 || iy >= h || inside == 0) {
+            for (int t = 0; t < left + inside + right; ++t) row[t] = 0.0f;
+            continue;
+          }
+          const float* taps =
+              image + (static_cast<long long>(iy) * w + ix + lo) * c;
+          for (int t = 0; t < left; ++t) row[t] = 0.0f;
+          for (int t = 0; t < inside; ++t) row[left + t] = taps[t];
+          for (int t = 0; t < right; ++t) row[left + inside + t] = 0.0f;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace vsd::tensor::kernels::simd

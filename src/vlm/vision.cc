@@ -52,19 +52,14 @@ Tensor VisionTower::PackImages(
 
 void VisionTower::PackImagesInto(
     const std::vector<const img::Image*>& images, float* dst) const {
-  const int n = static_cast<int>(images.size());
-  for (int i = 0; i < n; ++i) {
-    img::Image small = (images[i]->width() == input_size_ &&
-                        images[i]->height() == input_size_)
-                           ? *images[i]
-                           : img::Resize(*images[i], input_size_,
-                                         input_size_);
-    float* frame =
-        dst + static_cast<size_t>(i) * input_size_ * input_size_;
-    for (int y = 0; y < input_size_; ++y) {
-      for (int x = 0; x < input_size_; ++x) {
-        frame[y * input_size_ + x] = small.at(y, x);
-      }
+  const size_t frame_size = static_cast<size_t>(input_size_) * input_size_;
+  for (size_t i = 0; i < images.size(); ++i) {
+    const img::Image& image = *images[i];
+    float* frame = dst + i * frame_size;
+    if (image.width() == input_size_ && image.height() == input_size_) {
+      std::memcpy(frame, image.pixels().data(), frame_size * sizeof(float));
+    } else {
+      img::ResizeInto(image, input_size_, input_size_, frame);
     }
   }
 }

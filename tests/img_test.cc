@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "img/image.h"
@@ -106,7 +109,8 @@ TEST(FilterTest, BlurSpreadsImpulse) {
 
 TEST(FilterTest, ResizePreservesConstant) {
   Image image(8, 8, 0.3f);
-  Image resized = Resize(image, 5, 11);
+  Image resized(5, 11);
+  ResizeInto(image, 5, 11, resized.mutable_pixels().data());
   EXPECT_EQ(resized.width(), 5);
   EXPECT_EQ(resized.height(), 11);
   for (float p : resized.pixels()) EXPECT_NEAR(p, 0.3f, 1e-5f);
@@ -118,8 +122,58 @@ TEST(FilterTest, ResizeDownPreservesMean) {
   for (auto& p : image.mutable_pixels()) {
     p = static_cast<float>(rng.Uniform());
   }
-  Image resized = Resize(image, 16, 16);
+  Image resized(16, 16);
+  ResizeInto(image, 16, 16, resized.mutable_pixels().data());
   EXPECT_NEAR(resized.MeanValue(), image.MeanValue(), 0.03f);
+}
+
+/// Bilinear resize straight from the per-pixel formula: the reference that
+/// ResizeInto, which computes each column's taps and weights once, must
+/// match bit for bit.
+Image ResizeReference(const Image& image, int new_width, int new_height) {
+  Image out(new_width, new_height);
+  const float sx = static_cast<float>(image.width()) / new_width;
+  const float sy = static_cast<float>(image.height()) / new_height;
+  for (int y = 0; y < new_height; ++y) {
+    for (int x = 0; x < new_width; ++x) {
+      const float fy = (y + 0.5f) * sy - 0.5f;
+      const float fx = (x + 0.5f) * sx - 0.5f;
+      const int y0 = static_cast<int>(std::floor(fy));
+      const int x0 = static_cast<int>(std::floor(fx));
+      const float wy = fy - y0;
+      const float wx = fx - x0;
+      out.at(y, x) = (1 - wy) * ((1 - wx) * image.AtClamped(y0, x0) +
+                                 wx * image.AtClamped(y0, x0 + 1)) +
+                     wy * ((1 - wx) * image.AtClamped(y0 + 1, x0) +
+                           wx * image.AtClamped(y0 + 1, x0 + 1));
+    }
+  }
+  return out;
+}
+
+TEST(FilterTest, ResizeIntoMatchesPerPixelFormulaBitwise) {
+  struct Case {
+    int width, height, new_width, new_height;
+  };
+  // The vision tower's 96->48, a non-integer ratio, an upsample, a tiny
+  // odd one, a same-size one and a non-square one.
+  const Case cases[] = {{96, 96, 48, 48}, {96, 96, 40, 40}, {48, 48, 96, 96},
+                        {7, 7, 3, 3},     {48, 48, 48, 48}, {7, 5, 3, 4}};
+  Rng rng(6);
+  for (const Case& c : cases) {
+    Image image(c.width, c.height);
+    for (auto& p : image.mutable_pixels()) {
+      p = static_cast<float>(rng.Uniform());
+    }
+    const Image expected = ResizeReference(image, c.new_width, c.new_height);
+    const size_t size = expected.pixels().size();
+    std::vector<float> into(size, -7.5f);  // Dirty: every float is written.
+    ResizeInto(image, c.new_width, c.new_height, into.data());
+    EXPECT_EQ(0, std::memcmp(into.data(), expected.pixels().data(),
+                             size * sizeof(float)))
+        << c.width << "x" << c.height << " -> " << c.new_width << "x"
+        << c.new_height;
+  }
 }
 
 TEST(MaskTest, NoiseMaskedRegionOnlyTouchesMask) {

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -215,8 +216,9 @@ TEST(RegistryTest, ScalarIsRegisteredForEveryOp) {
 }
 
 TEST(RegistryTest, ResolveFallsBackToScalarForUnregisteredSlots) {
-  // Tanh, Sigmoid and Im2Col have no vector variant: under kSimd their
-  // entry points still compute the scalar kernel (libm per element).
+  // Tanh and Sigmoid have no vector variant: under kSimd their entry
+  // points still compute the scalar kernel (libm per element). Im2Col's
+  // simd variant copies whole kernel rows, and must give the same bytes.
   const KernelInputs in;
   const k::Backend sd = k::Backend::kSimd;
   const size_t map_size = in.image.size();
@@ -259,14 +261,85 @@ void ExpectBackendsBitIdentical(size_t out_size, Fn&& fn) {
                            out_size * sizeof(float)));
 }
 
+/// A [m,k] MatMul operand: normal values with about `zero_share` of them
+/// zero, some of those -0.0f, and column `zero_column` all zero.
+std::vector<float> SparseOperand(int m, int k, double zero_share,
+                                 int zero_column, Rng* rng) {
+  std::vector<float> a(static_cast<size_t>(m) * k);
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; ++p) {
+      float& v = a[static_cast<size_t>(i) * k + p];
+      v = static_cast<float>(rng->Normal());
+      if (p == zero_column || rng->Uniform() < zero_share) {
+        v = rng->Bernoulli(0.25) ? -0.0f : 0.0f;
+      }
+    }
+  }
+  return a;
+}
+
+/// A [k,n] MatMul operand: normal values, except that row `special_row`
+/// holds inf, -inf and NaN, which only a skipped zero in `a` keeps out of
+/// the product.
+std::vector<float> OperandWithNonFiniteRow(int k, int n, int special_row,
+                                           Rng* rng) {
+  std::vector<float> b(static_cast<size_t>(k) * n);
+  for (float& v : b) v = static_cast<float>(rng->Normal());
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (int j = 0; j < n; ++j) {
+    b[static_cast<size_t>(special_row) * n + j] = specials[j % 3];
+  }
+  return b;
+}
+
+/// Expects the simd MatMul bit-identical to scalar on `a` x `b`, and, under
+/// the default backend, every row of the m-row product bit-identical to
+/// the 1-row product of that row alone: batch composition never changes
+/// a bit.
+void ExpectMatMulExact(const std::vector<float>& a,
+                       const std::vector<float>& b, int m, int kk, int n) {
+  SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << kk << " n=" << n);
+  const size_t size = static_cast<size_t>(m) * n;
+  ExpectBackendsBitIdentical(size, [&](float* out) {
+    k::MatMulInto(a.data(), b.data(), out, m, kk, n);
+  });
+  if (m == 1) return;
+  std::vector<float> rows(size, 1.5f);
+  k::MatMulInto(a.data(), b.data(), rows.data(), m, kk, n);
+  std::vector<float> row(static_cast<size_t>(n), -2.5f);
+  for (int i = 0; i < m; ++i) {
+    k::MatMulInto(a.data() + static_cast<size_t>(i) * kk, b.data(),
+                  row.data(), 1, kk, n);
+    EXPECT_EQ(0, std::memcmp(row.data(),
+                             rows.data() + static_cast<size_t>(i) * n,
+                             n * sizeof(float)))
+        << "row " << i;
+  }
+}
+
 TEST(SimdBitIdentityTest, MatMulF32IncludingTails) {
+  // Every row count, depth and width class the blocked kernel tells apart:
+  // row-tile remainders, k below and above its chunk, vector tails, one
+  // and several column blocks. `a` is ~5%, ~40% or ~95% zero; from k = 16
+  // the last two take the list path, everything else the tiles. Zeros
+  // include -0.0f, and a non-finite b row sits under an all-zero a column.
   Rng rng(21);
-  for (int n : {1, 7, 8, 9, 16, 33}) {
-    Tensor a = Tensor::Randn({4, 10}, &rng);
-    Tensor b = Tensor::Randn({10, n}, &rng);
-    ExpectBackendsBitIdentical(static_cast<size_t>(4) * n, [&](float* out) {
-      k::MatMulInto(a.data(), b.data(), out, 4, 10, n);
-    });
+  for (double zero_share : {0.05, 0.4, 0.95}) {
+    for (int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64}) {
+      for (int kk : {1, 12, 25, 72, 2304}) {
+        for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                      12, 13, 14, 15, 16, 17, 24, 48, 96, 192}) {
+          SCOPED_TRACE(testing::Message() << "zero share " << zero_share);
+          const std::vector<float> a =
+              SparseOperand(m, kk, zero_share, kk / 2, &rng);
+          const std::vector<float> b =
+              OperandWithNonFiniteRow(kk, n, kk / 2, &rng);
+          ExpectMatMulExact(a, b, m, kk, n);
+        }
+      }
+    }
   }
 }
 
@@ -279,6 +352,43 @@ TEST(SimdBitIdentityTest, MatMulF32SkipsZeroRows) {
   ExpectBackendsBitIdentical(static_cast<size_t>(6) * 9, [&](float* out) {
     k::MatMulInto(a.data(), b.data(), out, 6, 12, 9);
   });
+}
+
+TEST(SimdBitIdentityTest, Im2ColIncludingPadding) {
+  // Every padding case: taps off each edge, whole kernel rows off the top
+  // and bottom, windows wider than the padded image's margin. The input
+  // holds -0.0f and NaN, which the copy must keep bit for bit.
+  Rng rng(29);
+  struct Window {
+    int kh, kw;
+  };
+  for (int n : {1, 3}) {
+    for (int c : {1, 8}) {
+      for (const Window& win : {Window{1, 1}, Window{3, 3}, Window{5, 5},
+                                Window{2, 3}}) {
+        for (int stride : {1, 2}) {
+          for (int pad : {0, 1, 2}) {
+            const int h = 7;
+            const int w = 6;
+            const int oh = (h + 2 * pad - win.kh) / stride + 1;
+            const int ow = (w + 2 * pad - win.kw) / stride + 1;
+            Tensor x = Tensor::Randn({n, h, w, c}, &rng);
+            x.data()[0] = -0.0f;
+            x.data()[x.size() - 1] = std::numeric_limits<float>::quiet_NaN();
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " c=" << c << " k=" << win.kh << "x"
+                         << win.kw << " stride=" << stride << " pad=" << pad);
+            ExpectBackendsBitIdentical(
+                static_cast<size_t>(n) * oh * ow * win.kh * win.kw * c,
+                [&](float* out) {
+                  k::Im2ColInto(x.data(), out, n, h, w, c, win.kh, win.kw,
+                                stride, pad);
+                });
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdBitIdentityTest, MatMulI8IncludingTails) {
