@@ -3,27 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace vsd::lint {
 namespace {
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
-
-/// Index of the "(" matching the ")" at `close`, or toks.size() when
-/// unbalanced.
-size_t MatchBackward(const std::vector<Token>& toks, size_t close) {
-  int depth = 1;
-  size_t k = close;
-  while (k > 0 && depth > 0) {
-    --k;
-    if (toks[k].text == ")") ++depth;
-    else if (toks[k].text == "(") --depth;
-  }
-  return depth == 0 ? k : toks.size();
-}
 
 /// Mutex-ish std type names whose members demand annotation.
 const std::set<std::string>& MutexTypes() {
@@ -153,7 +136,7 @@ void AnnotationIndex::AddFile(const std::string& path,
         break;
       }
       if (j == 0) continue;
-      size_t open = MatchBackward(toks, j - 1);
+      size_t open = MatchBackward(toks, j - 1, "(", ")");
       // An earlier VSD_*(...) group is a specifier too: hop over it.
       while (open < toks.size() && open > 0 && IsIdent(toks[open - 1]) &&
              StartsWith(toks[open - 1].text, "VSD_")) {
@@ -171,7 +154,7 @@ void AnnotationIndex::AddFile(const std::string& path,
           open = toks.size();
           break;
         }
-        open = MatchBackward(toks, m - 1);
+        open = MatchBackward(toks, m - 1, "(", ")");
       }
       if (open >= toks.size() || open == 0 || !IsIdent(toks[open - 1])) {
         continue;
@@ -380,16 +363,7 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
         const bool via_this =
             prev == "->" && k >= 2 && toks[k - 2].text == "this";
         if ((prev == "." || prev == "->") && !via_this) continue;
-        if (prev == "::") {
-          size_t e = k;
-          while (e >= 2 && toks[e - 1].text == "::" && IsIdent(toks[e - 2])) {
-            e -= 2;
-          }
-          static const std::set<std::string> kStdish = {
-              "std", "chrono", "this_thread", "fs", "filesystem", "testing",
-          };
-          if (kStdish.count(toks[e].text)) continue;
-        }
+        if (prev == "::" && IsStdQualified(toks, k)) continue;
         for (const DfFunction* callee : program.Resolve(fn, t)) {
           const MethodContract* c2 =
               index.ContractFor(callee->qualifier, callee->name);

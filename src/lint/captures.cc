@@ -4,6 +4,8 @@
 #include <set>
 #include <string>
 
+#include "common/string_util.h"
+
 namespace vsd::lint {
 namespace {
 
@@ -38,50 +40,18 @@ const std::set<std::string>& AtomicOps() {
   return kAtomicOps;
 }
 
-const std::set<std::string>& AssignOps() {
-  static const std::set<std::string> kOps = {
-      "=",  "+=", "-=", "*=",  "/=",  "%=",
-      "&=", "|=", "^=", "<<=", ">>=",
-  };
-  return kOps;
-}
-
-/// Index just past the token matching the opener at `open`.
-size_t MatchForward(const std::vector<Token>& toks, size_t open,
-                    const char* opener, const char* closer) {
-  int depth = 1;
-  size_t k = open + 1;
-  while (k < toks.size() && depth > 0) {
-    if (toks[k].text == opener) ++depth;
-    else if (toks[k].text == closer) --depth;
-    if (depth == 0) break;
-    ++k;
-  }
-  return k;
-}
-
 /// Identifiers declared as std::atomic<...> (or atomic_* aliases) anywhere
 /// in the file. Writes to them are synchronized.
 std::set<std::string> AtomicVars(const std::vector<Token>& toks) {
   std::set<std::string> vars;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
     const std::string& t = toks[i].text;
-    if (t != "atomic" && t.rfind("atomic_", 0) != 0) continue;
+    if (!IsIdent(toks[i]) || (t != "atomic" && !StartsWith(t, "atomic_"))) {
+      continue;
+    }
     size_t j = i + 1;
-    if (j < toks.size() && toks[j].text == "<") {
-      int depth = 1;
-      ++j;
-      while (j < toks.size() && depth > 0) {
-        if (toks[j].text == "<") ++depth;
-        else if (toks[j].text == ">") --depth;
-        else if (toks[j].text == ">>") depth -= 2;
-        ++j;
-      }
-    }
-    if (j < toks.size() && toks[j].kind == TokenKind::kIdentifier) {
-      vars.insert(toks[j].text);
-    }
+    if (toks[j].text == "<") j = SkipAngles(toks, j);
+    if (j < toks.size() && IsIdent(toks[j])) vars.insert(toks[j].text);
   }
   return vars;
 }
@@ -107,7 +77,7 @@ CaptureList ParseCaptures(const std::vector<Token>& toks, size_t open,
     } else if (toks[i].text == "=") {
       ++i;
     }
-    if (i < close && toks[i].kind == TokenKind::kIdentifier) {
+    if (i < close && IsIdent(toks[i])) {
       if (toks[i].text == "this") {
         captures.captures_this = true;
       } else if (is_ref) {
@@ -155,8 +125,7 @@ std::set<std::string> CollectLocals(const std::vector<Token>& toks,
     size_t params_end =
         MatchForward(toks, site.capture_close + 1, "(", ")");
     for (size_t i = site.capture_close + 2; i < params_end; ++i) {
-      if (toks[i].kind == TokenKind::kIdentifier &&
-          !Keywords().count(toks[i].text) &&
+      if (IsIdent(toks[i]) && !Keywords().count(toks[i].text) &&
           (toks[i + 1].text == "," || toks[i + 1].text == ")")) {
         locals.insert(toks[i].text);
       }
@@ -170,19 +139,16 @@ std::set<std::string> CollectLocals(const std::vector<Token>& toks,
     if (toks[i].text == "auto" && toks[i + 1].text == "[") {
       size_t bind_end = MatchForward(toks, i + 1, "[", "]");
       for (size_t k = i + 2; k < bind_end; ++k) {
-        if (toks[k].kind == TokenKind::kIdentifier) locals.insert(toks[k].text);
+        if (IsIdent(toks[k])) locals.insert(toks[k].text);
       }
       i = bind_end;
       continue;
     }
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        Keywords().count(toks[i].text)) {
-      continue;
-    }
+    if (!IsIdent(toks[i]) || Keywords().count(toks[i].text)) continue;
     const Token& prev = toks[i - 1];
     const bool decl_prev =
         kDeclPrev.count(prev.text) > 0 ||
-        (prev.kind == TokenKind::kIdentifier && !Keywords().count(prev.text)) ||
+        (IsIdent(prev) && !Keywords().count(prev.text)) ||
         prev.text == "auto";
     if (decl_prev && kDeclNext.count(toks[i + 1].text)) {
       locals.insert(toks[i].text);
@@ -205,20 +171,17 @@ std::map<std::string, std::string> CollectRefAliases(
     const Token& prev = toks[i - 1];
     const bool type_prev =
         prev.text == "auto" || prev.text == ">" || prev.text == ">>" ||
-        (prev.kind == TokenKind::kIdentifier && !Keywords().count(prev.text));
+        (IsIdent(prev) && !Keywords().count(prev.text));
     if (!type_prev) continue;
     const Token& name = toks[i + 1];
-    if (name.kind != TokenKind::kIdentifier || Keywords().count(name.text)) {
-      continue;
-    }
+    if (!IsIdent(name) || Keywords().count(name.text)) continue;
     if (toks[i + 2].text != "=") continue;
     // Initializer must be a pure identifier chain (a . b -> c :: d) ending
     // at ';' — anything else (subscript, call, arithmetic) is not an alias
     // of a captured object.
     size_t j = i + 3;
     const bool root_this = toks[j].text == "this";
-    if (toks[j].kind != TokenKind::kIdentifier ||
-        (!root_this && Keywords().count(toks[j].text))) {
+    if (!IsIdent(toks[j]) || (!root_this && Keywords().count(toks[j].text))) {
       continue;
     }
     const std::string root = toks[j].text;
@@ -227,8 +190,7 @@ std::map<std::string, std::string> CollectRefAliases(
     while (j < site.body_close && toks[j].text != ";") {
       const std::string& link = toks[j].text;
       if ((link == "." || link == "->" || link == "::") &&
-          j + 1 < site.body_close &&
-          toks[j + 1].kind == TokenKind::kIdentifier) {
+          j + 1 < site.body_close && IsIdent(toks[j + 1])) {
         j += 2;
         continue;
       }
@@ -260,20 +222,15 @@ ChainRoot WalkChain(const std::vector<Token>& toks, size_t last) {
     if (toks[before].text == "]") {
       chain.subscripted = true;
       // Walk back over the subscript to the object it indexes.
-      int depth = 1;
-      while (before > 0 && depth > 0) {
-        --before;
-        if (toks[before].text == "]") ++depth;
-        else if (toks[before].text == "[") --depth;
-      }
-      if (before == 0) break;
+      before = MatchBackward(toks, before, "[", "]");
+      if (before == 0 || before >= toks.size()) break;
       --before;
     }
     if (toks[before].text == ")") {
       chain.through_call = true;
       break;
     }
-    if (toks[before].kind != TokenKind::kIdentifier) break;
+    if (!IsIdent(toks[before])) break;
     pos = before;
     chain.root = before;
   }
@@ -299,10 +256,7 @@ void AnalyzeLambda(const std::string& path, const std::vector<Token>& toks,
       "lock",       "try_lock",    "mutex",
   };
   for (size_t i = site.body_open + 1; i < site.body_close; ++i) {
-    if (toks[i].kind == TokenKind::kIdentifier &&
-        kLockTokens.count(toks[i].text)) {
-      return;
-    }
+    if (IsIdent(toks[i]) && kLockTokens.count(toks[i].text)) return;
   }
 
   const std::set<std::string> locals = CollectLocals(toks, site);
@@ -312,7 +266,7 @@ void AnalyzeLambda(const std::string& path, const std::vector<Token>& toks,
   auto classify = [&](const ChainRoot& chain, int line) {
     if (chain.subscripted || chain.through_call) return;
     const Token& root = toks[chain.root];
-    if (root.kind != TokenKind::kIdentifier) return;
+    if (!IsIdent(root)) return;
     // Follow reference aliases back to the object they rename: writing
     // through `auto& slot = shared;` is writing `shared`. Bounded hops in
     // case of a (nonsensical) alias cycle.
@@ -351,8 +305,7 @@ void AnalyzeLambda(const std::string& path, const std::vector<Token>& toks,
       if (prev.text == "]") {
         continue;  // Subscripted slot: x[...] = v.
       }
-      if (prev.kind == TokenKind::kIdentifier &&
-          !Keywords().count(prev.text)) {
+      if (IsIdent(prev) && !Keywords().count(prev.text)) {
         classify(WalkChain(toks, i - 1), t.line);
       }
       continue;
@@ -361,18 +314,18 @@ void AnalyzeLambda(const std::string& path, const std::vector<Token>& toks,
     if (t.text == "++" || t.text == "--") {
       const Token& prev = toks[i - 1];
       if (prev.text == "]") continue;
-      if (prev.kind == TokenKind::kIdentifier && !Keywords().count(prev.text)) {
+      if (IsIdent(prev) && !Keywords().count(prev.text)) {
         classify(WalkChain(toks, i - 1), t.line);
         continue;
       }
       // Pre-increment: root is the start of the following chain; indexed
       // targets (++counts[i]) are per-index slots.
       size_t j = i + 1;
-      if (j < site.body_close && toks[j].kind == TokenKind::kIdentifier) {
+      if (j < site.body_close && IsIdent(toks[j])) {
         size_t root = j;
         while (j + 2 < site.body_close &&
                (toks[j + 1].text == "." || toks[j + 1].text == "->") &&
-               toks[j + 2].kind == TokenKind::kIdentifier) {
+               IsIdent(toks[j + 2])) {
           j += 2;
         }
         if (j + 1 < site.body_close && toks[j + 1].text == "[") continue;
@@ -383,13 +336,12 @@ void AnalyzeLambda(const std::string& path, const std::vector<Token>& toks,
       continue;
     }
     // Mutating member calls: x.push_back(...), x->insert(...).
-    if (t.kind == TokenKind::kIdentifier && i + 1 < site.body_close &&
-        toks[i + 1].text == "(" &&
+    if (IsIdent(t) && i + 1 < site.body_close && toks[i + 1].text == "(" &&
         (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
       if (AtomicOps().count(t.text)) continue;  // Synchronized by definition.
       if (!MutatingMethods().count(t.text)) continue;
       if (toks[i - 2].text == "]") continue;  // Per-index receiver.
-      if (toks[i - 2].kind != TokenKind::kIdentifier) continue;
+      if (!IsIdent(toks[i - 2])) continue;
       classify(WalkChain(toks, i - 2), t.line);
     }
   }
@@ -404,30 +356,16 @@ void CheckUnguardedCaptures(const std::string& path, const LexResult& lex,
   std::set<std::string> seen;       // line:name, dedupes nested analyses.
   std::set<size_t> analyzed;        // body_open indices already handled.
 
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
-    const bool is_parallel =
-        toks[i].text == "ParallelFor" || toks[i].text == "ParallelMap";
-    const bool is_submit = toks[i].text == "Submit" &&
-                           (toks[i - 1].text == "." || toks[i - 1].text == "->");
-    if (!is_parallel && !is_submit) continue;
-    size_t j = i + 1;
-    // Skip optional template arguments: ParallelMap<T>(...).
-    if (j < toks.size() && toks[j].text == "<") {
-      int depth = 1;
-      ++j;
-      while (j < toks.size() && depth > 0) {
-        if (toks[j].text == "<") ++depth;
-        else if (toks[j].text == ">") --depth;
-        else if (toks[j].text == ">>") depth -= 2;
-        ++j;
-      }
-    }
-    if (j >= toks.size() || toks[j].text != "(") continue;
-    const size_t call_close = MatchForward(toks, j, "(", ")");
+  for (const CallExtent& call :
+       CallExtents(toks, 0, toks.size(),
+                   {"ParallelFor", "ParallelMap", "Submit"})) {
+    const std::string& callee = toks[call.head].text;
+    const bool member = call.head > 0 && (toks[call.head - 1].text == "." ||
+                                          toks[call.head - 1].text == "->");
+    if (callee == "Submit" && !member) continue;
 
     // Every lambda literal inside the argument list.
-    for (size_t k = j + 1; k < call_close; ++k) {
+    for (size_t k = call.open + 1; k < call.close; ++k) {
       if (toks[k].text != "[") continue;
       const std::string& before = toks[k - 1].text;
       if (before != "(" && before != ",") continue;  // Subscript, not lambda.
@@ -446,13 +384,12 @@ void CheckUnguardedCaptures(const std::string& path, const LexResult& lex,
       if (cursor >= toks.size() || toks[cursor].text != "{") continue;
       site.body_open = cursor;
       site.body_close = MatchForward(toks, cursor, "{", "}");
-      site.callee = is_submit ? "Submit" : toks[i].text;
+      site.callee = callee;
       if (analyzed.insert(site.body_open).second) {
         AnalyzeLambda(path, toks, site, atomics, &seen, findings);
       }
       k = site.body_close;
     }
-    i = j;  // Nested calls re-scan inside the argument list.
   }
 }
 

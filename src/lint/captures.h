@@ -26,10 +26,11 @@ namespace vsd::lint {
 ///    whole lambda — lock-to-write matching is beyond a lexer;
 ///  * the capture is by value (writes hit a private copy).
 ///
-/// Reference aliases to shared state (`auto& a = shared; a = 1;`) are a
-/// known blind spot: the alias counts as a body-local. TSan remains the
-/// dynamic backstop; this check exists to catch the common mistakes before
-/// a nondeterministic bench ever runs.
+/// A write through a reference alias (`auto& a = shared; a = 1;`) counts as
+/// a write to the aliased object; aliases of subscripted or call-result
+/// initializers stay per-index or local. TSan remains the dynamic backstop;
+/// this check exists to catch the common mistakes before a
+/// nondeterministic bench ever runs.
 void CheckUnguardedCaptures(const std::string& path, const LexResult& lex,
                             std::vector<Finding>* findings);
 

@@ -5,18 +5,10 @@
 #include <sstream>
 #include <utility>
 
+#include "common/string_util.h"
 #include "lint/annotations.h"
 
 namespace vsd::lint {
-namespace {
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
-
-}  // namespace
 
 const std::set<std::string>& HeadKeywords() {
   static const std::set<std::string> kw = {
@@ -28,31 +20,6 @@ const std::set<std::string>& HeadKeywords() {
       "dynamic_cast",        "reinterpret_cast",          "operator",
   };
   return kw;
-}
-
-size_t MatchForward(const std::vector<Token>& toks, size_t open,
-                    const char* opener, const char* closer) {
-  int depth = 1;
-  size_t k = open + 1;
-  while (k < toks.size() && depth > 0) {
-    if (toks[k].text == opener) ++depth;
-    else if (toks[k].text == closer) --depth;
-    if (depth == 0) break;
-    ++k;
-  }
-  return k;
-}
-
-size_t SkipAngles(const std::vector<Token>& toks, size_t open) {
-  int depth = 1;
-  size_t j = open + 1;
-  while (j < toks.size() && depth > 0) {
-    if (toks[j].text == "<") ++depth;
-    else if (toks[j].text == ">") --depth;
-    else if (toks[j].text == ">>") depth -= 2;
-    ++j;
-  }
-  return j;
 }
 
 std::vector<DfFunction> ExtractFunctions(const std::string& file,
@@ -103,7 +70,7 @@ std::vector<DfFunction> ExtractFunctions(const std::string& file,
       }
       // Thread-safety annotation macros (common/annotations.h) expand to
       // nothing; skip `VSD_REQUIRES(mu_)` and friends like a specifier.
-      if (t.rfind("VSD_", 0) == 0 && j + 1 < toks.size() &&
+      if (StartsWith(t, "VSD_") && j + 1 < toks.size() &&
           toks[j + 1].text == "(") {
         j = MatchForward(toks, j + 1, "(", ")") + 1;
         continue;
@@ -308,6 +275,14 @@ std::string LockId(const DfFunction& fn, const std::set<std::string>& locals,
   return fn.file + "::" + chain;
 }
 
+bool IsStdQualified(const std::vector<Token>& toks, size_t k) {
+  static const std::set<std::string> kStdish = {
+      "std", "chrono", "this_thread", "fs", "filesystem", "testing",
+  };
+  while (k >= 2 && toks[k - 1].text == "::" && IsIdent(toks[k - 2])) k -= 2;
+  return kStdish.count(toks[k].text) > 0;
+}
+
 std::vector<std::string> GuardArgChains(const std::vector<Token>& toks,
                                         size_t open, size_t close) {
   static const std::set<std::string> kTags = {"defer_lock", "adopt_lock",
@@ -455,17 +430,7 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
         toks[k + 1].text == "(" && !HeadKeywords().count(t)) {
       const std::string& prev = k > 0 ? toks[k - 1].text : std::string();
       if (prev == "." || prev == "->") continue;
-      if (prev == "::") {
-        // Walk to the leftmost qualifier; skip std & friends.
-        size_t e = k;
-        while (e >= 2 && toks[e - 1].text == "::" && IsIdent(toks[e - 2])) {
-          e -= 2;
-        }
-        static const std::set<std::string> kStdish = {
-            "std", "chrono", "this_thread", "fs", "filesystem", "testing",
-        };
-        if (kStdish.count(toks[e].text)) continue;
-      }
+      if (prev == "::" && IsStdQualified(toks, k)) continue;
       hooks.on_call(t, toks[k].line, held);
     }
   }
@@ -664,50 +629,76 @@ LockGraph BuildLockGraphFromTree(const std::string& root,
 // nondet-taint
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// ParallelFor/ParallelMap call extents (open paren, close paren) inside
-/// [begin, end).
-std::vector<std::pair<size_t, size_t>> ParallelExtents(
-    const std::vector<Token>& toks, size_t begin, size_t end) {
-  std::vector<std::pair<size_t, size_t>> extents;
-  for (size_t i = begin; i + 1 < end && i + 1 < toks.size(); ++i) {
-    if (!IsIdent(toks[i]) ||
-        (toks[i].text != "ParallelFor" && toks[i].text != "ParallelMap")) {
-      continue;
-    }
-    size_t j = i + 1;
-    if (toks[j].text == "<") j = SkipAngles(toks, j);
-    if (j >= toks.size() || toks[j].text != "(") continue;
-    extents.emplace_back(j, MatchForward(toks, j, "(", ")"));
-    i = j;
-  }
-  return extents;
-}
-
-}  // namespace
-
-std::vector<TaintSource> FindNondetSources(const std::string& path,
-                                           const std::vector<Token>& toks,
-                                           const DfFunction& fn) {
-  (void)path;
-  static const std::set<std::string> kWallClock = {
+const std::set<std::string>& WallClockNames() {
+  static const std::set<std::string> kNames = {
       "system_clock", "high_resolution_clock", "time",
       "localtime",    "gmtime",                "ctime",
       "strftime",     "clock",                 "timespec_get",
       "gettimeofday", "clock_gettime",
   };
-  static const std::set<std::string> kThreadId = {
+  return kNames;
+}
+
+const std::set<std::string>& ThreadIdNames() {
+  static const std::set<std::string> kNames = {
       "get_id", "pthread_self", "gettid",
   };
-  static const std::set<std::string> kIntTypes = {
-      "uintptr_t", "intptr_t", "size_t",    "uint64_t", "uint32_t",
-      "int64_t",   "long",     "ptrdiff_t", "unsigned",
-  };
+  return kNames;
+}
+
+std::vector<size_t> SharedRngDraws(const std::vector<Token>& toks,
+                                   size_t begin, size_t end) {
   static const std::set<std::string> kDrawMethods = {
       "Next",        "Uniform",  "UniformInt",
       "Normal",      "Bernoulli", "Shuffle",
       "SampleIndex", "SampleWithoutReplacement", "Fork",
+  };
+  std::vector<size_t> draws;
+  std::set<size_t> seen;  // A draw inside nested loops is listed once.
+  for (const CallExtent& call :
+       CallExtents(toks, begin, end, {"ParallelFor", "ParallelMap"})) {
+    const size_t open = call.open;
+    const size_t close = call.close;
+    // Identifiers declared inside the call extent (Rng r / Rng& r / auto r)
+    // are per-iteration locals and safe to draw from.
+    std::set<std::string> locals;
+    for (size_t k = open + 1; k + 1 < close; ++k) {
+      if (!IsIdent(toks[k]) ||
+          (toks[k].text != "Rng" && toks[k].text != "auto")) {
+        continue;
+      }
+      size_t m = k + 1;
+      while (m < close && (toks[m].text == "&" || toks[m].text == "*" ||
+                           toks[m].text == "const")) {
+        ++m;
+      }
+      if (m < close && IsIdent(toks[m])) locals.insert(toks[m].text);
+    }
+    for (size_t k = open + 2; k + 1 < close; ++k) {
+      if (!IsIdent(toks[k]) || !kDrawMethods.count(toks[k].text)) continue;
+      const std::string& access = toks[k - 1].text;
+      if (access != "." && access != "->") continue;
+      if (toks[k + 1].text != "(") continue;
+      // streams[i].Uniform() / MakeRng(i).Next(): the receiver is a
+      // per-index expression, which is exactly the sanctioned pattern.
+      // Qualified receivers (obj.rng.Next) still end in an identifier, and
+      // a shared nested member is just as racy.
+      const Token& recv = toks[k - 2];
+      if (recv.text == "]" || recv.text == ")") continue;
+      if (!IsIdent(recv) || locals.count(recv.text)) continue;
+      if (seen.insert(k).second) draws.push_back(k);
+    }
+  }
+  return draws;
+}
+
+std::vector<TaintSource> FindNondetSources(const std::string& path,
+                                           const std::vector<Token>& toks,
+                                           const DfFunction& fn) {
+  (void)path;
+  static const std::set<std::string> kIntTypes = {
+      "uintptr_t", "intptr_t", "size_t",    "uint64_t", "uint32_t",
+      "int64_t",   "long",     "ptrdiff_t", "unsigned",
   };
 
   std::vector<TaintSource> seeds;
@@ -723,9 +714,9 @@ std::vector<TaintSource> FindNondetSources(const std::string& path,
     const bool call_like =
         k + 1 < toks.size() &&
         (toks[k + 1].text == "(" || toks[k + 1].text == "::");
-    if (kWallClock.count(t) && !member && call_like) {
+    if (WallClockNames().count(t) && !member && call_like) {
       seeds.push_back(TaintSource{k, toks[k].line, "wall clock '" + t + "'"});
-    } else if (kThreadId.count(t) && call_like) {
+    } else if (ThreadIdNames().count(t) && call_like) {
       seeds.push_back(TaintSource{k, toks[k].line, "thread id '" + t + "'"});
     } else if (t == "reinterpret_cast" && k + 1 < toks.size() &&
                toks[k + 1].text == "<") {
@@ -743,33 +734,11 @@ std::vector<TaintSource> FindNondetSources(const std::string& path,
 
   // Shared-Rng draws inside ParallelFor bodies (the flow-sensitive side of
   // rng-fork: the *drawn value* is scheduling-dependent).
-  for (const auto& [open, close] :
-       ParallelExtents(toks, fn.body_open + 1, fn.body_close)) {
-    std::set<std::string> locals;
-    for (size_t k = open + 1; k + 1 < close; ++k) {
-      if (IsIdent(toks[k]) &&
-          (toks[k].text == "Rng" || toks[k].text == "auto")) {
-        size_t m = k + 1;
-        while (m < close && (toks[m].text == "&" || toks[m].text == "*" ||
-                             toks[m].text == "const")) {
-          ++m;
-        }
-        if (m < close && IsIdent(toks[m])) locals.insert(toks[m].text);
-      }
-    }
-    for (size_t k = open + 2; k + 1 < close; ++k) {
-      if (!IsIdent(toks[k]) || !kDrawMethods.count(toks[k].text)) continue;
-      const std::string& access = toks[k - 1].text;
-      if (access != "." && access != "->") continue;
-      if (toks[k + 1].text != "(") continue;
-      const Token& recv = toks[k - 2];
-      if (recv.text == "]" || recv.text == ")") continue;
-      if (!IsIdent(recv) || locals.count(recv.text)) continue;
-      seeds.push_back(TaintSource{
-          k, toks[k].line,
-          "shared Rng draw '" + recv.text + "." + toks[k].text +
-              "()' inside a ParallelFor body"});
-    }
+  for (size_t k : SharedRngDraws(toks, fn.body_open + 1, fn.body_close)) {
+    seeds.push_back(TaintSource{k, toks[k].line,
+                                "shared Rng draw '" + toks[k - 2].text + "." +
+                                    toks[k].text +
+                                    "()' inside a ParallelFor body"});
   }
   return seeds;
 }
@@ -780,19 +749,10 @@ namespace {
 /// subscripts and . / -> links): the tainted "root" object of an
 /// assignment target like `result.scores[j]`.
 std::string LhsRoot(const std::vector<Token>& toks, size_t lo, size_t e) {
-  while (e > lo) {
-    if (toks[e].text == "]") {  // Skip a subscript backwards.
-      int depth = 1;
-      while (e > lo && depth > 0) {
-        --e;
-        if (toks[e].text == "]") ++depth;
-        else if (toks[e].text == "[") --depth;
-      }
-      if (e == lo) return {};
-      --e;
-      continue;
-    }
-    break;
+  while (e > lo && toks[e].text == "]") {  // Skip a subscript backwards.
+    const size_t open = MatchBackward(toks, e, "[", "]");
+    if (open >= toks.size() || open <= lo) return {};
+    e = open - 1;
   }
   if (e < lo || !IsIdent(toks[e])) return {};
   std::string root = toks[e].text;
@@ -816,10 +776,6 @@ struct TaintAssign {
 std::map<std::string, TaintSource> PropagateTaint(
     const std::vector<Token>& toks, const DfFunction& fn,
     const std::vector<TaintSource>& seeds) {
-  static const std::set<std::string> kAssignOps = {
-      "=",  "+=", "-=", "*=",  "/=",  "%=",
-      "&=", "|=", "^=", "<<=", ">>=",
-  };
   static const std::set<std::string> kMutators = {
       "push_back", "emplace_back", "insert", "emplace",
       "append",    "push",         "assign",
@@ -840,7 +796,7 @@ std::map<std::string, TaintSource> PropagateTaint(
   for (size_t k = fn.body_open + 1; k < fn.body_close && k < toks.size();
        ++k) {
     // Assignment / compound assignment.
-    if (toks[k].kind == TokenKind::kPunct && kAssignOps.count(toks[k].text)) {
+    if (toks[k].kind == TokenKind::kPunct && AssignOps().count(toks[k].text)) {
       const std::string lhs = LhsRoot(toks, fn.body_open + 1, k - 1);
       if (lhs.empty()) continue;
       size_t end = k + 1;
@@ -1019,11 +975,9 @@ void ScanAllocs(const std::string& file, const std::vector<Token>& toks,
 }
 
 bool IsExecuteFn(const DfFunction& fn) {
-  if (fn.name != "Execute") return false;
-  return fn.qualifier == "GraphExecutor" ||
-         (fn.qualifier.size() > 14 &&
-          fn.qualifier.compare(fn.qualifier.size() - 14, 14,
-                               "::GraphExecutor") == 0);
+  return fn.name == "Execute" &&
+         (fn.qualifier == "GraphExecutor" ||
+          EndsWith(fn.qualifier, "::GraphExecutor"));
 }
 
 }  // namespace
@@ -1074,13 +1028,18 @@ std::vector<Finding> CheckHotPathAlloc(const DataflowProgram& program) {
   }
 
   // Explainer perturbation loops: every ParallelFor/ParallelMap call extent
-  // in src/explain/ is a hot loop body.
+  // in src/explain/ is a hot loop body. A loop nested in a scanned one is
+  // already covered, so each allocation is reported once.
   for (const std::string& file : program.files()) {
     if (!StartsWith(file, "src/explain/")) continue;
     const std::vector<Token>& toks = program.tokens(file);
-    for (const auto& [open, close] : ParallelExtents(toks, 0, toks.size())) {
-      ScanAllocs(file, toks, open + 1, close,
+    size_t scanned_to = 0;
+    for (const CallExtent& call :
+         CallExtents(toks, 0, toks.size(), {"ParallelFor", "ParallelMap"})) {
+      if (call.open < scanned_to) continue;
+      ScanAllocs(file, toks, call.open + 1, call.close,
                  "ParallelFor body in an explainer loop", &findings);
+      scanned_to = call.close;
     }
   }
   return findings;

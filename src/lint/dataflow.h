@@ -60,15 +60,6 @@ std::vector<DfFunction> ExtractFunctions(const std::string& file,
 /// Keywords that can precede '(' without being a call or definition head.
 const std::set<std::string>& HeadKeywords();
 
-/// Index of the token matching the opener at `open` ("(" / "{" / "["), or
-/// toks.size() when unbalanced.
-size_t MatchForward(const std::vector<Token>& toks, size_t open,
-                    const char* opener, const char* closer);
-
-/// With toks[open] == "<", returns the index one past the matching ">".
-/// Handles ">>" closing two levels (template shorthand).
-size_t SkipAngles(const std::vector<Token>& toks, size_t open);
-
 /// Receiver chain ending at token `e`, walked back through . / -> (and a
 /// leading `this->`), e.g. "entry.mu". Empty when the receiver is dynamic
 /// (call or subscript result) or not an identifier.
@@ -83,6 +74,12 @@ std::string LockId(const DfFunction& fn, const std::set<std::string>& locals,
 /// RAII guard class names treated as lock acquisitions (lock_guard,
 /// unique_lock, shared_lock, scoped_lock).
 const std::set<std::string>& GuardTypes();
+
+/// True when the call head at `k` sits under a std-like qualifier (std::,
+/// chrono::, this_thread::, fs::, filesystem::, testing::), judged by the
+/// leftmost `A::` of its qualifier chain. Such calls never name project
+/// functions, so call linking skips them.
+bool IsStdQualified(const std::vector<Token>& toks, size_t k);
 
 /// Mutex argument chains of a guard constructor: top-level comma-separated
 /// args in (open, close), std lock tags skipped, dynamic expressions
@@ -166,6 +163,25 @@ LockGraph BuildLockGraphFromTree(const std::string& root,
 // ---------------------------------------------------------------------------
 // nondet-taint
 // ---------------------------------------------------------------------------
+
+// The nondeterminism source table. The lexical wall-clock, thread-id and
+// rng-fork rules (lint.cc) and nondet-taint all read it; each keeps its own
+// path scope and match condition.
+
+/// Wall-clock reads (system_clock, ::time, localtime, ...). steady_clock is
+/// absent: it times durations that never enter result values.
+const std::set<std::string>& WallClockNames();
+
+/// Thread-identity reads (this_thread::get_id, pthread_self, gettid).
+const std::set<std::string>& ThreadIdNames();
+
+/// Draws from a shared Rng inside ParallelFor/ParallelMap calls that start
+/// in [begin, end): the token index of each draw method (`Uniform` in
+/// `rng.Uniform()`), listed once even when loops nest. A receiver declared
+/// inside the call (`Rng r`, `auto& r`) or a per-index expression
+/// (`streams[i].Uniform()`, `MakeRng(i).Next()`) is not shared.
+std::vector<size_t> SharedRngDraws(const std::vector<Token>& toks,
+                                   size_t begin, size_t end);
 
 /// A nondeterministic source occurrence inside one function body.
 struct TaintSource {

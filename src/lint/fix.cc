@@ -7,44 +7,13 @@
 #include <set>
 #include <string>
 
+#include "common/string_util.h"
 #include "lint/lint.h"
 
 namespace vsd::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-/// Splits on '\n'. The final newline (present in every checked-in file) is
-/// re-appended by Join, so a trailing "" element never appears.
-std::vector<std::string> SplitLines(const std::string& content,
-                                    bool* trailing_newline) {
-  *trailing_newline = !content.empty() && content.back() == '\n';
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= content.size()) {
-    size_t nl = content.find('\n', start);
-    if (nl == std::string::npos) {
-      if (start < content.size()) lines.push_back(content.substr(start));
-      break;
-    }
-    lines.push_back(content.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
-
-std::string Join(const std::vector<std::string>& lines, bool trailing_newline) {
-  std::string out;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    out += lines[i];
-    if (i + 1 < lines.size() || trailing_newline) out += '\n';
-  }
-  return out;
-}
 
 /// Parses `#include <x>` / `#include "x"` (whitespace-tolerant). Returns
 /// false for non-include lines and macro includes.
@@ -112,8 +81,11 @@ FixOutcome FixContent(const std::string& path, const std::string& content) {
     return outcome;
   }
 
-  bool trailing_newline = false;
-  std::vector<std::string> lines = SplitLines(content, &trailing_newline);
+  // The final newline (present in every checked-in file) is re-appended
+  // after the Join, so the empty piece after it is dropped here.
+  bool trailing_newline = !content.empty() && content.back() == '\n';
+  std::vector<std::string> lines = Split(content, '\n', /*keep_empty=*/true);
+  if (lines.back().empty()) lines.pop_back();
 
   // Repair a mismatched #define from its #ifndef before any reflow moves
   // line numbers around.
@@ -194,7 +166,7 @@ FixOutcome FixContent(const std::string& path, const std::string& content) {
     ++outcome.header_guard_fixes;
   }
 
-  outcome.content = Join(lines, trailing_newline);
+  outcome.content = Join(lines, "\n") + (trailing_newline ? "\n" : "");
   return outcome;
 }
 

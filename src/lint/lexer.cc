@@ -293,4 +293,64 @@ LexResult Lex(const std::string& source) {
   return out;
 }
 
+size_t MatchForward(const std::vector<Token>& toks, size_t open,
+                    const char* opener, const char* closer) {
+  int depth = 1;
+  size_t k = open + 1;
+  while (k < toks.size() && depth > 0) {
+    if (toks[k].text == opener) ++depth;
+    else if (toks[k].text == closer) --depth;
+    if (depth == 0) break;
+    ++k;
+  }
+  return k;
+}
+
+size_t MatchBackward(const std::vector<Token>& toks, size_t close,
+                     const char* opener, const char* closer) {
+  int depth = 1;
+  size_t k = close;
+  while (k > 0 && depth > 0) {
+    --k;
+    if (toks[k].text == closer) ++depth;
+    else if (toks[k].text == opener) --depth;
+  }
+  return depth == 0 ? k : toks.size();
+}
+
+size_t SkipAngles(const std::vector<Token>& toks, size_t open) {
+  int depth = 1;
+  size_t j = open + 1;
+  while (j < toks.size() && depth > 0) {
+    if (toks[j].text == "<") ++depth;
+    else if (toks[j].text == ">") --depth;
+    else if (toks[j].text == ">>") depth -= 2;
+    ++j;
+  }
+  return j;
+}
+
+std::vector<CallExtent> CallExtents(const std::vector<Token>& toks,
+                                    size_t begin, size_t end,
+                                    const std::set<std::string>& callees) {
+  std::vector<CallExtent> extents;
+  for (size_t i = begin; i + 1 < end && i + 1 < toks.size(); ++i) {
+    if (!IsIdent(toks[i]) || !callees.count(toks[i].text)) continue;
+    size_t j = i + 1;
+    if (toks[j].text == "<") j = SkipAngles(toks, j);
+    if (j >= toks.size() || toks[j].text != "(") continue;
+    extents.push_back(CallExtent{i, j, MatchForward(toks, j, "(", ")")});
+    i = j;  // Nested calls inside the arguments are still scanned.
+  }
+  return extents;
+}
+
+const std::set<std::string>& AssignOps() {
+  static const std::set<std::string> kOps = {
+      "=",  "+=", "-=", "*=",  "/=",  "%=",
+      "&=", "|=", "^=", "<<=", ">>=",
+  };
+  return kOps;
+}
+
 }  // namespace vsd::lint

@@ -50,6 +50,43 @@ struct LexResult {
 /// of literals.
 LexResult Lex(const std::string& source);
 
+// Token-walk primitives shared by every rule and analysis. Semantics are
+// pinned by tests/lint_test.cc and tests/dataflow_test.cc.
+
+inline bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
+
+/// Index of the token matching the opener at `open` ("(" / "{" / "["), or
+/// toks.size() when unbalanced.
+size_t MatchForward(const std::vector<Token>& toks, size_t open,
+                    const char* opener, const char* closer);
+
+/// Index of the opener matching the closer at `close` (")" / "]"), or
+/// toks.size() when unbalanced.
+size_t MatchBackward(const std::vector<Token>& toks, size_t close,
+                     const char* opener, const char* closer);
+
+/// With toks[open] == "<", returns the index one past the matching ">".
+/// Handles ">>" closing two levels (template shorthand).
+size_t SkipAngles(const std::vector<Token>& toks, size_t open);
+
+/// One call `head<...>(...)`: `open`/`close` are its parentheses (`close`
+/// is toks.size() when unbalanced).
+struct CallExtent {
+  size_t head = 0;
+  size_t open = 0;
+  size_t close = 0;
+};
+
+/// Every call to one of `callees` whose name lies in [begin, end), in token
+/// order, optional template arguments skipped. Calls nested inside another
+/// call's arguments are listed too, so a token can lie in several extents.
+std::vector<CallExtent> CallExtents(const std::vector<Token>& toks,
+                                    size_t begin, size_t end,
+                                    const std::set<std::string>& callees);
+
+/// `=` and the compound assignment operators.
+const std::set<std::string>& AssignOps();
+
 }  // namespace vsd::lint
 
 #endif  // VSD_LINT_LEXER_H_

@@ -4,11 +4,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "lint/annotations.h"
 #include "lint/captures.h"
@@ -20,17 +22,6 @@ namespace vsd::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool IsHeaderPath(const std::string& path) { return EndsWith(path, ".h"); }
 
 struct FileCtx {
   const std::string& path;
@@ -74,7 +65,7 @@ void CheckRawRand(const FileCtx& ctx) {
   };
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
+    if (!IsIdent(toks[i])) continue;
     if (kBanned.find(toks[i].text) == kBanned.end()) continue;
     // Member access (config.rand, obj->rand) is some other class's member,
     // not the C library; `std::rand` / `::rand` / bare `rand` all still hit.
@@ -96,84 +87,14 @@ void CheckRawRand(const FileCtx& ctx) {
 // indexes it inside (streams[i].Uniform()), or declares a body-local Rng.
 // ---------------------------------------------------------------------------
 void CheckRngFork(const FileCtx& ctx) {
-  static const std::set<std::string> kDrawMethods = {
-      "Next",        "Uniform",  "UniformInt",
-      "Normal",      "Bernoulli", "Shuffle",
-      "SampleIndex", "SampleWithoutReplacement", "Fork",
-  };
   const auto& toks = ctx.lex.tokens;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        (toks[i].text != "ParallelFor" && toks[i].text != "ParallelMap")) {
-      continue;
-    }
-    // Skip optional template arguments: ParallelMap<T>(...).
-    size_t j = i + 1;
-    if (j < toks.size() && toks[j].text == "<") {
-      int depth = 1;
-      ++j;
-      while (j < toks.size() && depth > 0) {
-        if (toks[j].text == "<") ++depth;
-        else if (toks[j].text == ">") --depth;
-        else if (toks[j].text == ">>") depth -= 2;
-        ++j;
-      }
-    }
-    if (j >= toks.size() || toks[j].text != "(") continue;
-    // Find the matching close paren: [open, close) is the call's extent.
-    size_t open = j;
-    int depth = 1;
-    size_t close = open + 1;
-    while (close < toks.size() && depth > 0) {
-      if (toks[close].text == "(") ++depth;
-      else if (toks[close].text == ")") --depth;
-      if (depth == 0) break;
-      ++close;
-    }
-
-    // Identifiers declared inside the call extent (Rng r / Rng& r / auto r)
-    // are per-iteration locals and safe to draw from.
-    std::set<std::string> locals;
-    for (size_t k = open + 1; k + 1 < close; ++k) {
-      if (toks[k].kind != TokenKind::kIdentifier ||
-          (toks[k].text != "Rng" && toks[k].text != "auto")) {
-        continue;
-      }
-      size_t m = k + 1;
-      while (m < close &&
-             (toks[m].text == "&" || toks[m].text == "*" ||
-              toks[m].text == "const")) {
-        ++m;
-      }
-      if (m < close && toks[m].kind == TokenKind::kIdentifier) {
-        locals.insert(toks[m].text);
-      }
-    }
-
-    for (size_t k = open + 2; k + 1 < close; ++k) {
-      if (toks[k].kind != TokenKind::kIdentifier ||
-          kDrawMethods.find(toks[k].text) == kDrawMethods.end()) {
-        continue;
-      }
-      const std::string& access = toks[k - 1].text;
-      if (access != "." && access != "->") continue;
-      if (k + 1 >= close || toks[k + 1].text != "(") continue;
-      const Token& recv = toks[k - 2];
-      // streams[i].Uniform() / MakeRng(i).Next(): the receiver is a
-      // per-index expression, which is exactly the sanctioned pattern.
-      if (recv.text == "]" || recv.text == ")") continue;
-      if (recv.kind != TokenKind::kIdentifier) continue;
-      // Qualified receivers (obj.rng.Next) still end in an identifier, and
-      // a shared nested member is just as racy, so fall through for those.
-      if (locals.count(recv.text)) continue;
-      ctx.Report(toks[k].line, "rng-fork",
-                 "'" + recv.text + "." + toks[k].text +
-                     "()' inside a ParallelFor/ParallelMap body draws from a "
-                     "shared Rng (data race + scheduling-dependent results); "
-                     "Fork() per-index streams before the loop or declare a "
-                     "body-local Rng");
-    }
-    i = open;  // Continue after the call head; nested calls re-scan inside.
+  for (size_t k : SharedRngDraws(toks, 0, toks.size())) {
+    ctx.Report(toks[k].line, "rng-fork",
+               "'" + toks[k - 2].text + "." + toks[k].text +
+                   "()' inside a ParallelFor/ParallelMap body draws from a "
+                   "shared Rng (data race + scheduling-dependent results); "
+                   "Fork() per-index streams before the loop or declare a "
+                   "body-local Rng");
   }
 }
 
@@ -193,7 +114,7 @@ void CheckFloatEq(const FileCtx& ctx) {
   // Identifiers declared in this file with type double/float.
   std::set<std::string> float_vars;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
+    if (!IsIdent(toks[i]) ||
         (toks[i].text != "double" && toks[i].text != "float")) {
       continue;
     }
@@ -203,13 +124,13 @@ void CheckFloatEq(const FileCtx& ctx) {
             toks[m].text == "const")) {
       ++m;
     }
-    if (m < toks.size() && toks[m].kind == TokenKind::kIdentifier) {
+    if (m < toks.size() && IsIdent(toks[m])) {
       float_vars.insert(toks[m].text);
     }
   }
   auto is_floaty = [&](const Token& t) {
     if (t.kind == TokenKind::kNumber) return t.is_float;
-    if (t.kind == TokenKind::kIdentifier) return float_vars.count(t.text) > 0;
+    if (IsIdent(t)) return float_vars.count(t.text) > 0;
     return false;
   };
   for (size_t i = 1; i + 1 < toks.size(); ++i) {
@@ -232,7 +153,7 @@ void CheckFloatEq(const FileCtx& ctx) {
 // #ifndef/#define include-guard pair (the repo convention: VSD_<PATH>_H_).
 // ---------------------------------------------------------------------------
 void CheckHeaderGuard(const FileCtx& ctx) {
-  if (!IsHeaderPath(ctx.path)) return;
+  if (!EndsWith(ctx.path, ".h")) return;
   const auto& dirs = ctx.lex.directives;
   if (!dirs.empty() && dirs[0].text == "#pragma once") return;
   if (dirs.size() >= 2 && StartsWith(dirs[0].text, "#ifndef") &&
@@ -324,28 +245,20 @@ void CheckUnorderedIter(const FileCtx& ctx) {
   // Identifiers declared in this file as std::unordered_{map,set}<...>.
   std::set<std::string> unordered_vars;
   for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
+    if (!IsIdent(toks[i]) ||
         (toks[i].text != "unordered_map" && toks[i].text != "unordered_set" &&
          toks[i].text != "unordered_multimap" &&
          toks[i].text != "unordered_multiset")) {
       continue;
     }
-    size_t j = i + 1;
-    if (j >= toks.size() || toks[j].text != "<") continue;
-    int depth = 1;
-    ++j;
-    while (j < toks.size() && depth > 0) {
-      if (toks[j].text == "<") ++depth;
-      else if (toks[j].text == ">") --depth;
-      else if (toks[j].text == ">>") depth -= 2;
-      ++j;
-    }
+    if (i + 1 >= toks.size() || toks[i + 1].text != "<") continue;
+    size_t j = SkipAngles(toks, i + 1);
     while (j < toks.size() &&
            (toks[j].text == "&" || toks[j].text == "*" ||
             toks[j].text == "const")) {
       ++j;
     }
-    if (j < toks.size() && toks[j].kind == TokenKind::kIdentifier) {
+    if (j < toks.size() && IsIdent(toks[j])) {
       unordered_vars.insert(toks[j].text);
     }
   }
@@ -353,7 +266,7 @@ void CheckUnorderedIter(const FileCtx& ctx) {
 
   // Range-for whose range expression names an unordered container.
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier || toks[i].text != "for" ||
+    if (!IsIdent(toks[i]) || toks[i].text != "for" ||
         toks[i + 1].text != "(") {
       continue;
     }
@@ -370,8 +283,7 @@ void CheckUnorderedIter(const FileCtx& ctx) {
     }
     if (colon == 0) continue;  // Classic for loop.
     for (size_t k = colon + 1; k < close; ++k) {
-      if (toks[k].kind == TokenKind::kIdentifier &&
-          unordered_vars.count(toks[k].text)) {
+      if (IsIdent(toks[k]) && unordered_vars.count(toks[k].text)) {
         ctx.Report(toks[k].line, "unordered-iter",
                    "iterating unordered container '" + toks[k].text +
                        "' in a result-producing path; hash-table order is "
@@ -383,14 +295,14 @@ void CheckUnorderedIter(const FileCtx& ctx) {
   }
   // Explicit iterator walks: var.begin() / var.cbegin().
   for (size_t i = 2; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
+    if (!IsIdent(toks[i]) ||
         (toks[i].text != "begin" && toks[i].text != "cbegin")) {
       continue;
     }
     if (toks[i - 1].text != "." && toks[i - 1].text != "->") continue;
     if (toks[i + 1].text != "(") continue;
     const Token& recv = toks[i - 2];
-    if (recv.kind == TokenKind::kIdentifier && unordered_vars.count(recv.text)) {
+    if (IsIdent(recv) && unordered_vars.count(recv.text)) {
       ctx.Report(toks[i].line, "unordered-iter",
                  "iterator over unordered container '" + recv.text +
                      "' in a result-producing path; hash-table order is not "
@@ -417,55 +329,26 @@ void CheckPerSamplePredict(const FileCtx& ctx) {
   };
   const auto& toks = ctx.lex.tokens;
 
-  auto matching = [&](size_t open, const char* opener, const char* closer) {
-    int depth = 1;
-    size_t k = open + 1;
-    while (k < toks.size() && depth > 0) {
-      if (toks[k].text == opener) ++depth;
-      else if (toks[k].text == closer) --depth;
-      if (depth == 0) break;
-      ++k;
-    }
-    return k;
-  };
-
   // Loop extents: for/while statements (header + braced body) and the
   // per-index callables handed to ParallelFor/ParallelMap/
   // EvaluatePredictor (each is a per-sample loop in disguise).
   std::vector<std::pair<size_t, size_t>> extents;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
-    const bool is_loop = toks[i].text == "for" || toks[i].text == "while";
-    const bool is_call = toks[i].text == "ParallelFor" ||
-                         toks[i].text == "ParallelMap" ||
-                         toks[i].text == "EvaluatePredictor";
-    if (!is_loop && !is_call) continue;
-    size_t j = i + 1;
-    // Skip optional template arguments: ParallelMap<T>(...).
-    if (is_call && j < toks.size() && toks[j].text == "<") {
-      int depth = 1;
-      ++j;
-      while (j < toks.size() && depth > 0) {
-        if (toks[j].text == "<") ++depth;
-        else if (toks[j].text == ">") --depth;
-        else if (toks[j].text == ">>") depth -= 2;
-        ++j;
-      }
-    }
-    if (j >= toks.size() || toks[j].text != "(") continue;
-    size_t end = matching(j, "(", ")");
+  for (const CallExtent& c :
+       CallExtents(toks, 0, toks.size(),
+                   {"for", "while", "ParallelFor", "ParallelMap",
+                    "EvaluatePredictor"})) {
+    size_t end = c.close;
+    const bool is_loop = toks[c.head].text == "for" ||
+                         toks[c.head].text == "while";
     if (is_loop && end + 1 < toks.size() && toks[end + 1].text == "{") {
-      end = matching(end + 1, "{", "}");
+      end = MatchForward(toks, end + 1, "{", "}");
     }
-    extents.emplace_back(j, end);
+    extents.emplace_back(c.open, end);
   }
   if (extents.empty()) return;
 
   for (size_t k = 2; k + 1 < toks.size(); ++k) {
-    if (toks[k].kind != TokenKind::kIdentifier ||
-        kSingleCalls.find(toks[k].text) == kSingleCalls.end()) {
-      continue;
-    }
+    if (!IsIdent(toks[k]) || !kSingleCalls.count(toks[k].text)) continue;
     const std::string& access = toks[k - 1].text;
     if (access != "." && access != "->") continue;
     if (toks[k + 1].text != "(") continue;
@@ -525,7 +408,7 @@ void CheckBlockingWait(const FileCtx& ctx) {
   if (!StartsWith(ctx.path, "src/serve/")) return;
   const auto& toks = ctx.lex.tokens;
   for (size_t k = 2; k + 1 < toks.size(); ++k) {
-    if (toks[k].kind != TokenKind::kIdentifier) continue;
+    if (!IsIdent(toks[k])) continue;
     const std::string& access = toks[k - 1].text;
     if (access != "." && access != "->") continue;
     if (toks[k + 1].text != "(") continue;
@@ -542,8 +425,7 @@ void CheckBlockingWait(const FileCtx& ctx) {
       // unique_ptr::get() and friends are everywhere; only a receiver that
       // names a future is a blocking retrieval.
       const Token& recv = toks[k - 2];
-      if (recv.kind == TokenKind::kIdentifier &&
-          recv.text.find("future") != std::string::npos) {
+      if (IsIdent(recv) && recv.text.find("future") != std::string::npos) {
         ctx.Report(toks[k].line, "blocking-wait-no-deadline",
                    "'" + recv.text +
                        ".get()' blocks without a deadline; wait_for the "
@@ -563,18 +445,9 @@ void CheckBlockingWait(const FileCtx& ctx) {
 // ---------------------------------------------------------------------------
 void CheckWallClock(const FileCtx& ctx) {
   if (!InResultPath(ctx.path)) return;
-  static const std::set<std::string> kBanned = {
-      "system_clock", "high_resolution_clock", "time",
-      "localtime",    "gmtime",                "ctime",
-      "strftime",     "clock",                 "timespec_get",
-      "gettimeofday", "clock_gettime",
-  };
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        kBanned.find(toks[i].text) == kBanned.end()) {
-      continue;
-    }
+    if (!IsIdent(toks[i]) || !WallClockNames().count(toks[i].text)) continue;
     // Member access (cfg.time, obj->clock) is some other class's member.
     if (i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
       continue;
@@ -596,15 +469,9 @@ void CheckWallClock(const FileCtx& ctx) {
 // ---------------------------------------------------------------------------
 void CheckThreadId(const FileCtx& ctx) {
   if (!InResultPath(ctx.path)) return;
-  static const std::set<std::string> kBanned = {
-      "get_id", "pthread_self", "gettid",
-  };
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        kBanned.find(toks[i].text) == kBanned.end()) {
-      continue;
-    }
+    if (!IsIdent(toks[i]) || !ThreadIdNames().count(toks[i].text)) continue;
     ctx.Report(toks[i].line, "thread-id",
                "'" + toks[i].text +
                    "' observes thread identity in a result path; which "
@@ -627,10 +494,7 @@ void CheckPointerKey(const FileCtx& ctx) {
   };
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        kOrdered.find(toks[i].text) == kOrdered.end()) {
-      continue;
-    }
+    if (!IsIdent(toks[i]) || !kOrdered.count(toks[i].text)) continue;
     if (i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
       continue;  // obj.set(...) is a setter, not a container.
     }
@@ -686,9 +550,8 @@ void CheckKernelBypass(const FileCtx& ctx) {
     for (size_t j = i + 2; j < toks.size() && toks[j].text != ";"; ++j) {
       if (toks[j].kind != TokenKind::kPunct || toks[j].text != "*") continue;
       const Token& prev = toks[j - 1];
-      if (prev.kind == TokenKind::kIdentifier ||
-          prev.kind == TokenKind::kNumber || prev.text == ")" ||
-          prev.text == "]") {
+      if (IsIdent(prev) || prev.kind == TokenKind::kNumber ||
+          prev.text == ")" || prev.text == "]") {
         has_mul = true;
         break;
       }
@@ -840,20 +703,93 @@ bool ReadFileToString(const std::string& root, const std::string& rel,
 
 namespace {
 
-/// Per-file lex + analysis result, computed in parallel by LintTree and
-/// AuditFiles and merged serially in path order.
+/// One file's lex and raw (unsuppressed, unsorted) per-file findings.
 struct LintedFile {
-  bool ok = false;
+  bool ok = false;  ///< False when the file could not be read.
   LexResult lex;
-  std::vector<Finding> raw;  ///< Unfiltered per-file findings.
+  std::vector<Finding> raw;
 };
 
-LintedFile LintOneFile(const std::string& path, const std::string& content) {
-  LintedFile out;
-  out.ok = true;
-  out.lex = Lex(content);
-  out.raw = CollectFileFindings(path, out.lex);
-  return out;
+/// Raw findings of a set of files before any suppression: every per-file
+/// finding plus the tree-level rules (layering, include-cycle and the
+/// dataflow rules), with each readable file's suppression table.
+struct RawTree {
+  std::vector<Finding> raw;
+  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
+  std::vector<std::string> unreadable;
+};
+
+/// The collection LintTree and AuditFiles share. Lexing and per-file rules
+/// run on the global thread pool (each index writes only its own slot);
+/// `read(i, &text)` fetches file i and must be safe to call concurrently.
+/// The merge is serial in `paths` order, so any VSD_THREADS count gives
+/// the same RawTree.
+RawTree CollectRaw(const std::vector<std::string>& paths,
+                   const std::function<bool(size_t, std::string*)>& read) {
+  std::vector<LintedFile> per = ParallelMap<LintedFile>(
+      static_cast<int64_t>(paths.size()), [&](int64_t i) {
+        LintedFile out;
+        std::string content;
+        if (!read(static_cast<size_t>(i), &content)) return out;
+        out.ok = true;
+        out.lex = Lex(content);
+        out.raw = CollectFileFindings(paths[i], out.lex);
+        return out;
+      });
+  RawTree tree;
+  IncludeGraphBuilder builder;
+  DataflowProgram program;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (!per[i].ok) {
+      tree.unreadable.push_back(paths[i]);
+      continue;
+    }
+    builder.AddFile(paths[i], per[i].lex);
+    program.AddFile(paths[i], per[i].lex);
+    tree.suppressions[paths[i]] = std::move(per[i].lex.suppressions);
+    for (Finding& f : per[i].raw) tree.raw.push_back(std::move(f));
+  }
+  const IncludeGraph graph = builder.Build();
+  for (auto* check : {&CheckLayering, &CheckCycles}) {
+    for (Finding& f : (*check)(graph)) tree.raw.push_back(std::move(f));
+  }
+  for (Finding& f : ProgramFindings(program)) tree.raw.push_back(std::move(f));
+  return tree;
+}
+
+/// Every `allow(<rule>)` comment that matches no raw finding of its rule
+/// on its own line or the next one, as a "stale-suppression" finding, in
+/// (file, line) order. Not part of AllRules: a stale comment cannot be
+/// suppressed, only deleted.
+std::vector<Finding> StaleSuppressions(const RawTree& tree) {
+  std::map<std::string, std::map<int, std::set<std::string>>> live;
+  for (const Finding& f : tree.raw) live[f.file][f.line].insert(f.rule);
+  const std::vector<std::string>& known = AllRules();
+  std::vector<Finding> stale;
+  for (const auto& [path, table] : tree.suppressions) {
+    for (const auto& [line, rules] : table) {
+      for (const std::string& rule : rules) {
+        // A suppression of a rule that does not exist never suppressed
+        // anything (doc comments quoting the syntax parse this way), and a
+        // typo'd rule name is already exposed by the lint run itself — the
+        // unsuppressed finding still fires there.
+        if (std::find(known.begin(), known.end(), rule) == known.end()) {
+          continue;
+        }
+        // The comment's two-line window, seen from the comment's side: a
+        // finding on `line` or `line + 1` keeps it live.
+        if (IsSuppressed(Finding{path, line + 1, rule, ""}, live[path])) {
+          continue;
+        }
+        stale.push_back(Finding{
+            path, line, "stale-suppression",
+            "'// vsd-lint: allow(" + rule + ")' matches no '" + rule +
+                "' finding on this line or the next; the rule stopped "
+                "firing here — delete the comment (or fix the rule name)"});
+      }
+    }
+  }
+  return stale;
 }
 
 }  // namespace
@@ -861,54 +797,35 @@ LintedFile LintOneFile(const std::string& path, const std::string& content) {
 std::vector<Finding> LintTree(const std::string& root,
                               const std::vector<std::string>& subdirs) {
   const std::vector<std::string> files = ListSourceFiles(root, subdirs);
-  // Lex + per-file analysis in parallel; each index writes only its own
-  // slot, so any VSD_THREADS count produces the same vector.
-  const std::vector<LintedFile> per = ParallelMap<LintedFile>(
-      static_cast<int64_t>(files.size()), [&](int64_t i) {
-        std::string content;
-        if (!ReadFileToString(root, files[i], &content)) return LintedFile{};
-        return LintOneFile(files[i], content);
-      });
-
-  // Deterministic serial merge in sorted path order.
+  RawTree tree = CollectRaw(files, [&](size_t i, std::string* text) {
+    return ReadFileToString(root, files[i], text);
+  });
   std::vector<Finding> findings;
-  IncludeGraphBuilder builder;
-  DataflowProgram program;
-  // Per-file suppression tables, kept so they also apply to the tree-level
-  // findings (e.g. a reasoned allow(layering) on an #include line).
-  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
-  for (size_t i = 0; i < files.size(); ++i) {
-    if (!per[i].ok) {
-      findings.push_back(Finding{files[i], 0, "io-error", "cannot read file"});
-      continue;
-    }
-    builder.AddFile(files[i], per[i].lex);
-    program.AddFile(files[i], per[i].lex);
-    suppressions[files[i]] = per[i].lex.suppressions;
-    for (const Finding& f : per[i].raw) {
-      if (!IsSuppressed(f, per[i].lex.suppressions)) findings.push_back(f);
-    }
+  for (const std::string& path : tree.unreadable) {
+    findings.push_back(Finding{path, 0, "io-error", "cannot read file"});
   }
-
-  const IncludeGraph graph = builder.Build();
-  for (auto* check : {&CheckLayering, &CheckCycles}) {
-    for (Finding& f : (*check)(graph)) {
-      if (!IsSuppressed(f, suppressions[f.file])) {
-        findings.push_back(std::move(f));
-      }
-    }
+  // Per-file suppression tables apply to the tree-level findings too (e.g.
+  // a reasoned allow(layering) on an #include line).
+  for (const Finding& f : tree.raw) {
+    if (!IsSuppressed(f, tree.suppressions[f.file])) findings.push_back(f);
   }
-  for (Finding& f : ProgramFindings(program)) {
-    if (!IsSuppressed(f, suppressions[f.file])) {
-      findings.push_back(std::move(f));
-    }
-  }
+  for (Finding& f : StaleSuppressions(tree)) findings.push_back(std::move(f));
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {
                      return a.file != b.file ? a.file < b.file
                                              : a.line < b.line;
                    });
   return findings;
+}
+
+std::vector<Finding> AuditFiles(
+    const std::vector<std::pair<std::string, std::string>>& files) {
+  std::vector<std::string> paths;
+  for (const auto& file : files) paths.push_back(file.first);
+  return StaleSuppressions(CollectRaw(paths, [&](size_t i, std::string* text) {
+    *text = files[i].second;
+    return true;
+  }));
 }
 
 namespace {
@@ -1001,111 +918,6 @@ std::string FindingsToSarif(const std::vector<Finding>& findings) {
   out += "  ]\n";
   out += "}\n";
   return out;
-}
-
-std::vector<Finding> AuditFiles(
-    const std::vector<std::pair<std::string, std::string>>& files) {
-  // Raw findings (no suppression filtering) for every file plus the
-  // tree-level rules: a suppression is live iff some raw finding of its
-  // rule lands on its line or the next one.
-  IncludeGraphBuilder builder;
-  DataflowProgram program;
-  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
-  std::map<std::string, std::map<int, std::set<std::string>>> live;
-  auto note = [&](const Finding& f) { live[f.file][f.line].insert(f.rule); };
-
-  for (const auto& [path, content] : files) {
-    const LintedFile linted = LintOneFile(path, content);
-    builder.AddFile(path, linted.lex);
-    program.AddFile(path, linted.lex);
-    suppressions[path] = linted.lex.suppressions;
-    for (const Finding& f : linted.raw) note(f);
-  }
-  const IncludeGraph graph = builder.Build();
-  for (const Finding& f : CheckLayering(graph)) note(f);
-  for (const Finding& f : CheckCycles(graph)) note(f);
-  for (const Finding& f : ProgramFindings(program)) note(f);
-
-  const std::vector<std::string>& known = AllRules();
-  std::vector<Finding> stale;
-  for (const auto& [path, table] : suppressions) {
-    for (const auto& [line, rules] : table) {
-      for (const std::string& rule : rules) {
-        // A suppression of a rule that does not exist never suppressed
-        // anything (doc comments quoting the syntax parse this way), and a
-        // typo'd rule name is already exposed by the lint run itself — the
-        // unsuppressed finding still fires there.
-        if (std::find(known.begin(), known.end(), rule) == known.end()) {
-          continue;
-        }
-        bool matched = false;
-        for (int l : {line, line + 1}) {
-          auto fit = live[path].find(l);
-          if (fit != live[path].end() && fit->second.count(rule)) {
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) {
-          stale.push_back(Finding{
-              path, line, "stale-suppression",
-              "'// vsd-lint: allow(" + rule + ")' matches no '" + rule +
-                  "' finding on this line or the next; the rule stopped "
-                  "firing here — delete the comment (or fix the rule name)"});
-        }
-      }
-    }
-  }
-  std::stable_sort(stale.begin(), stale.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.file != b.file ? a.file < b.file
-                                             : a.line < b.line;
-                   });
-  return stale;
-}
-
-std::vector<Finding> AuditSuppressions(
-    const std::string& root, const std::vector<std::string>& subdirs) {
-  std::vector<std::pair<std::string, std::string>> files;
-  for (const std::string& rel : ListSourceFiles(root, subdirs)) {
-    std::string content;
-    if (!ReadFileToString(root, rel, &content)) continue;
-    files.emplace_back(rel, std::move(content));
-  }
-  return AuditFiles(files);
-}
-
-AnnotationAudit AuditAnnotations(const std::string& root,
-                                 const std::vector<std::string>& subdirs) {
-  DataflowProgram program;
-  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
-  for (const std::string& rel : ListSourceFiles(root, subdirs)) {
-    std::string content;
-    if (!ReadFileToString(root, rel, &content)) continue;
-    LexResult lex = Lex(content);
-    suppressions[rel] = lex.suppressions;
-    program.AddFile(rel, std::move(lex));
-  }
-  const AnnotationIndex index = BuildAnnotationIndex(program);
-
-  AnnotationAudit audit;
-  for (const auto& [cls, ca] : index.classes()) {
-    (void)cls;
-    if (!ca.guarded.empty()) ++audit.annotated_classes;
-    audit.guarded_fields += static_cast<int64_t>(ca.guarded.size());
-    audit.contracts += static_cast<int64_t>(ca.methods.size());
-  }
-  for (Finding& f : CheckUnannotatedMutex(index)) {
-    if (!IsSuppressed(f, suppressions[f.file])) {
-      audit.findings.push_back(std::move(f));
-    }
-  }
-  std::stable_sort(audit.findings.begin(), audit.findings.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.file != b.file ? a.file < b.file
-                                             : a.line < b.line;
-                   });
-  return audit;
 }
 
 }  // namespace vsd::lint

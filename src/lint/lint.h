@@ -1,7 +1,6 @@
 #ifndef VSD_LINT_LINT_H_
 #define VSD_LINT_LINT_H_
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,14 +88,15 @@ bool ReadFileToString(const std::string& root, const std::string& rel,
 
 /// Walks `root` and lints every source file under the given subdirectories
 /// (repo-relative, e.g. {"src", "bench", "tools", "tests"}), then runs the
-/// whole-program checks (layering, include-cycle, lock-order,
-/// hot-path-alloc) over the include graph and dataflow program of the same
-/// walk. Per-file lexing and analysis run on the global thread pool
-/// (VSD_THREADS), but findings are merged in sorted path order and come
-/// back sorted by (file, line), so output is byte-identical at any thread
-/// count. Unreadable files produce a finding with rule "io-error" rather
-/// than aborting the walk. `// vsd-lint: allow(...)` suppressions apply to
-/// tree-level findings too.
+/// whole-program checks (layering, include-cycle and the dataflow rules)
+/// over the include graph and dataflow program of the same walk. Per-file
+/// lexing and analysis run on the global thread pool (VSD_THREADS), but
+/// findings are merged in sorted path order and come back sorted by (file,
+/// line), so output is byte-identical at any thread count. Unreadable files
+/// produce a finding with rule "io-error" rather than aborting the walk.
+/// `// vsd-lint: allow(...)` suppressions apply to tree-level findings too,
+/// and every suppression that no longer matches a finding comes back as a
+/// "stale-suppression" finding (see AuditFiles).
 std::vector<Finding> LintTree(const std::string& root,
                               const std::vector<std::string>& subdirs);
 
@@ -111,30 +111,14 @@ std::string FindingsToJson(const std::vector<Finding>& findings);
 /// preserved, trailing newline.
 std::string FindingsToSarif(const std::vector<Finding>& findings);
 
-/// Stale-suppression audit over in-memory (path, content) pairs: every
-/// `// vsd-lint: allow(<rule>)` comment must still match a raw (pre-
-/// suppression) finding of that rule on its own line or the next one —
+/// The stale-suppression half of LintTree over in-memory (path, content)
+/// pairs: every `// vsd-lint: allow(<rule>)` comment must still match a raw
+/// (pre-suppression) finding of that rule on its own line or the next one —
 /// including the tree-level and dataflow rules. Dead comments come back as
 /// rule "stale-suppression" findings (not part of AllRules: the rule
 /// cannot be suppressed, only deleted).
 std::vector<Finding> AuditFiles(
     const std::vector<std::pair<std::string, std::string>>& files);
-
-/// AuditFiles over the standard tree walk (for --audit-suppressions).
-std::vector<Finding> AuditSuppressions(const std::string& root,
-                                       const std::vector<std::string>& subdirs);
-
-/// Annotation-coverage audit over the standard tree walk (for
-/// --audit-annotations): unannotated-mutex findings after suppressions,
-/// plus coverage counters for the summary line.
-struct AnnotationAudit {
-  std::vector<Finding> findings;
-  int64_t annotated_classes = 0;  ///< Classes with >= 1 guarded field.
-  int64_t guarded_fields = 0;     ///< VSD_GUARDED_BY fields seen.
-  int64_t contracts = 0;          ///< Methods with REQUIRES/ACQUIRES/EXCLUDES.
-};
-AnnotationAudit AuditAnnotations(const std::string& root,
-                                 const std::vector<std::string>& subdirs);
 
 }  // namespace vsd::lint
 

@@ -455,10 +455,20 @@ TEST(HotPathAllocTest, OnlyExplainParallelForBodiesAreHot) {
       out.push_back(3);
     }
   )cc"));
+  // An allocation inside nested loops is one finding, not one per loop.
+  program.AddFile("src/explain/nested.cc", Lex(R"cc(
+    void Nested(std::vector<int>& out) {
+      ParallelFor(4, [&](int64_t i) {
+        ParallelFor(4, [&](int64_t j) { out.push_back(j); });
+      });
+    }
+  )cc"));
   const std::vector<Finding> findings = CheckHotPathAlloc(program);
-  ASSERT_EQ(findings.size(), 1u);
+  ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].file, "src/explain/run.cc");
   EXPECT_NE(findings[0].message.find("to_string"), std::string::npos);
+  EXPECT_EQ(findings[1].file, "src/explain/nested.cc");
+  EXPECT_NE(findings[1].message.find("push_back"), std::string::npos);
 }
 
 // ------------------------------------------------------------- meta checks ----

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -177,6 +181,16 @@ TEST(RngForkRule, FlagsSharedRngDrawInsideParallelFor) {
     }
   )cc";
   EXPECT_TRUE(HasRule(Rules("src/explain/x.cc", bad), "rng-fork"));
+  // A draw inside nested loops is one finding, not one per loop.
+  const std::string nested = R"cc(
+    void F(Rng& rng, std::vector<double>* out) {
+      ParallelFor(8, [&](int64_t i) {
+        ParallelFor(8, [&](int64_t j) { (*out)[8 * i + j] = rng.Uniform(); });
+      });
+    }
+  )cc";
+  const std::vector<std::string> rules = Rules("src/explain/x.cc", nested);
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "rng-fork"), 1);
 }
 
 TEST(RngForkRule, FlagsPointerDrawAndForkInsideBody) {
@@ -1243,6 +1257,33 @@ TEST(LintTreeTest, OutputIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a, b);
 }
 
+// The tree walk audits suppressions itself: a live allow() stays quiet, a
+// stale one is a finding, and an unknown rule name is never audited.
+TEST(LintTreeTest, ReportsStaleSuppressions) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "lint_tree_stale";
+  fs::remove_all(root);
+  fs::create_directories(root / "src/core");
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"src/core/metrics.cc",
+       "// vsd-lint: allow(float-eq) exact guard is intended here.\n"
+       "bool Same(double x, double y) { return x == y; }\n"},
+      {"src/core/stale.cc",
+       "// vsd-lint: allow(float-eq) nothing fires here anymore.\n"
+       "int Answer() { return 42; }\n"},
+      {"src/core/docs.cc",
+       "// Quoting the syntax, vsd-lint: allow(<rule>), is not audited.\n"
+       "int Docs() { return 1; }\n"},
+  };
+  for (const auto& [rel, text] : files) std::ofstream(root / rel) << text;
+  const std::vector<Finding> findings = LintTree(root.string(), {"src"});
+  fs::remove_all(root);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "stale-suppression");
+  EXPECT_EQ(findings[0].file, "src/core/stale.cc");
+  EXPECT_EQ(findings[0].line, 1);
+}
+
 // ---------------------------------------------------------------- misc -----
 
 TEST(FindingTest, ToStringIsClickable) {
@@ -1264,10 +1305,10 @@ TEST(AllRulesTest, NamesAreStable) {
   EXPECT_EQ(AllRules(), expected);
 }
 
-// The enforcement test: the real tree must lint clean — per-file rules and
-// the whole-program graph rules (layering, include-cycle) both. New code
-// that trips a rule either gets fixed or carries an explicit, reasoned
-// suppression.
+// The enforcement test: the real tree must lint clean — per-file rules, the
+// whole-program rules, and stale suppressions alike. New code that trips a
+// rule either gets fixed or carries an explicit, reasoned suppression, and
+// a suppression whose rule stops firing must be deleted.
 TEST(MetaTest, RepoSourceTreeIsLintClean) {
   const std::vector<Finding> findings = LintTree(
       VSD_SOURCE_DIR, {"src", "bench", "tools", "tests", "examples"});

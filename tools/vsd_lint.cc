@@ -11,11 +11,12 @@
 // flow, hot-path allocation (see src/lint/dataflow.h), annotation-enforced
 // thread safety (guarded-by / unannotated-mutex), and reference
 // invalidation across container mutation (see src/lint/annotations.h).
+// The same run reports every `allow()` comment whose rule no longer fires
+// on its line as a `stale-suppression` finding.
 //
 // Usage:
 //   vsd_lint [--root DIR] [--fix] [--format=json|sarif] [--dump-graph]
-//            [--dump-lock-graph] [--audit-suppressions]
-//            [--audit-annotations] [SUBDIR...]
+//            [--dump-lock-graph] [--list-rules] [SUBDIR...]
 //
 // With no SUBDIRs, lints src bench tools tests examples under --root
 // (default: the current directory). Exit code 0 = clean, 1 = findings,
@@ -41,15 +42,7 @@
 //                     on stdout and exit; exit code 1 if the graph has a
 //                     cycle (a potential deadlock — not suppressible via
 //                     this flag; the lint run honors allow(lock-order)).
-//   --audit-suppressions
-//                     flag stale `// vsd-lint: allow(<rule>)` comments
-//                     whose rule no longer fires on that line, and exit 1
-//                     if any are found.
-//   --audit-annotations
-//                     flag mutex members in src/ whose class has zero
-//                     VSD_GUARDED_BY fields (common/annotations.h), print
-//                     a coverage summary to stderr, and exit 1 if any
-//                     unannotated mutex lacks a reasoned allow().
+//   --list-rules      print the rule names, one per line, and exit.
 //
 // Suppress a finding with `// vsd-lint: allow(<rule>)` on the offending
 // line or the line above (always include a reason in the comment).
@@ -70,8 +63,6 @@ int main(int argc, char** argv) {
   bool fix = false;
   bool dump_graph = false;
   bool dump_lock_graph = false;
-  bool audit = false;
-  bool audit_annotations = false;
   enum class Format { kText, kJson, kSarif };
   Format format = Format::kText;
   for (int i = 1; i < argc; ++i) {
@@ -83,10 +74,6 @@ int main(int argc, char** argv) {
       dump_graph = true;
     } else if (std::strcmp(argv[i], "--dump-lock-graph") == 0) {
       dump_lock_graph = true;
-    } else if (std::strcmp(argv[i], "--audit-suppressions") == 0) {
-      audit = true;
-    } else if (std::strcmp(argv[i], "--audit-annotations") == 0) {
-      audit_annotations = true;
     } else if (std::strcmp(argv[i], "--format=json") == 0) {
       format = Format::kJson;
     } else if (std::strcmp(argv[i], "--format=sarif") == 0) {
@@ -101,8 +88,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: vsd_lint [--root DIR] [--fix] [--format=json|sarif] "
-          "[--dump-graph] [--dump-lock-graph] [--audit-suppressions] "
-          "[--audit-annotations] [--list-rules] [SUBDIR...]\n");
+          "[--dump-graph] [--dump-lock-graph] [--list-rules] "
+          "[SUBDIR...]\n");
       return 0;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "vsd_lint: unknown flag '%s'\n", argv[i]);
@@ -147,52 +134,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto print = [&](const std::vector<vsd::lint::Finding>& findings) {
-    switch (format) {
-      case Format::kJson:
-        std::fputs(vsd::lint::FindingsToJson(findings).c_str(), stdout);
-        break;
-      case Format::kSarif:
-        std::fputs(vsd::lint::FindingsToSarif(findings).c_str(), stdout);
-        break;
-      case Format::kText:
-        for (const auto& f : findings) {
-          std::printf("%s\n", f.ToString().c_str());
-        }
-        break;
-    }
-  };
-
-  if (audit) {
-    const std::vector<vsd::lint::Finding> stale =
-        vsd::lint::AuditSuppressions(root, subdirs);
-    print(stale);
-    if (!stale.empty()) {
-      std::fprintf(stderr, "vsd_lint: %zu stale suppression(s)\n",
-                   stale.size());
-      return 1;
-    }
-    return 0;
-  }
-
-  if (audit_annotations) {
-    const vsd::lint::AnnotationAudit result =
-        vsd::lint::AuditAnnotations(root, subdirs);
-    print(result.findings);
-    std::fprintf(stderr,
-                 "vsd_lint: annotation coverage: %lld annotated class(es), "
-                 "%lld guarded field(s), %lld method contract(s)\n",
-                 static_cast<long long>(result.annotated_classes),
-                 static_cast<long long>(result.guarded_fields),
-                 static_cast<long long>(result.contracts));
-    if (!result.findings.empty()) {
-      std::fprintf(stderr, "vsd_lint: %zu unannotated mutex member(s)\n",
-                   result.findings.size());
-      return 1;
-    }
-    return 0;
-  }
-
   if (fix) {
     for (const vsd::lint::FixedFile& f : vsd::lint::FixTree(root, subdirs)) {
       std::fprintf(stderr, "vsd_lint: fixed %s (%d fix(es))\n",
@@ -202,7 +143,17 @@ int main(int argc, char** argv) {
 
   const std::vector<vsd::lint::Finding> findings =
       vsd::lint::LintTree(root, subdirs);
-  print(findings);
+  switch (format) {
+    case Format::kJson:
+      std::fputs(vsd::lint::FindingsToJson(findings).c_str(), stdout);
+      break;
+    case Format::kSarif:
+      std::fputs(vsd::lint::FindingsToSarif(findings).c_str(), stdout);
+      break;
+    case Format::kText:
+      for (const auto& f : findings) std::printf("%s\n", f.ToString().c_str());
+      break;
+  }
   if (!findings.empty()) {
     std::fprintf(stderr, "vsd_lint: %zu finding(s)\n", findings.size());
     return 1;
