@@ -527,68 +527,19 @@ LockGraph BuildLockGraph(const DataflowProgram& program) {
 }
 
 std::vector<Finding> CheckLockOrder(const LockGraph& graph) {
-  std::map<std::string, std::vector<const LockEdge*>> adj;
-  for (const LockEdge& e : graph.edges) adj[e.from].push_back(&e);
-
-  enum class Color { kWhite, kGray, kBlack };
-  std::map<std::string, Color> color;
-  for (const std::string& n : graph.nodes) color[n] = Color::kWhite;
-
+  std::vector<std::pair<std::string, std::string>> edges;
+  edges.reserve(graph.edges.size());
+  for (const LockEdge& e : graph.edges) edges.emplace_back(e.from, e.to);
   std::vector<Finding> findings;
-  std::set<std::string> reported;
-
-  struct Frame {
-    std::string node;
-    size_t next_edge = 0;
-  };
-  for (const std::string& start : graph.nodes) {
-    if (color[start] != Color::kWhite) continue;
-    std::vector<Frame> stack{{start, 0}};
-    std::vector<std::string> path{start};
-    color[start] = Color::kGray;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const auto& edges = adj[frame.node];
-      if (frame.next_edge >= edges.size()) {
-        color[frame.node] = Color::kBlack;
-        stack.pop_back();
-        path.pop_back();
-        continue;
-      }
-      const LockEdge* e = edges[frame.next_edge++];
-      switch (color[e->to]) {
-        case Color::kWhite:
-          color[e->to] = Color::kGray;
-          stack.push_back(Frame{e->to, 0});
-          path.push_back(e->to);
-          break;
-        case Color::kGray: {
-          auto begin = std::find(path.begin(), path.end(), e->to);
-          std::vector<std::string> cycle(begin, path.end());
-          auto smallest = std::min_element(cycle.begin(), cycle.end());
-          std::rotate(cycle.begin(), smallest, cycle.end());
-          std::string key;
-          std::string pretty;
-          for (const std::string& node : cycle) {
-            key += node + "|";
-            pretty += node + " -> ";
-          }
-          pretty += cycle.front();
-          if (reported.insert(key).second) {
-            std::string via =
-                e->via.empty() ? "" : " (via call to '" + e->via + "')";
-            findings.push_back(Finding{
-                e->file, e->line, "lock-order",
-                "lock acquisition cycle: " + pretty + via +
-                    "; two threads taking these locks in opposite orders can "
-                    "deadlock — impose one global acquisition order"});
-          }
-          break;
-        }
-        case Color::kBlack:
-          break;
-      }
-    }
+  for (const Cycle& cycle : FindCycles(graph.nodes, edges)) {
+    const LockEdge& e = graph.edges[cycle.closing_edge];
+    const std::string via =
+        e.via.empty() ? "" : " (via call to '" + e.via + "')";
+    findings.push_back(Finding{
+        e.file, e.line, "lock-order",
+        "lock acquisition cycle: " + cycle.Path() + via +
+            "; two threads taking these locks in opposite orders can "
+            "deadlock — impose one global acquisition order"});
   }
   return findings;
 }

@@ -126,71 +126,17 @@ std::vector<Finding> CheckLayering(const IncludeGraph& graph) {
 }
 
 std::vector<Finding> CheckCycles(const IncludeGraph& graph) {
-  // Adjacency in deterministic order.
-  std::map<std::string, std::vector<const IncludeEdge*>> adj;
-  for (const IncludeEdge& e : graph.edges) adj[e.from].push_back(&e);
-
-  enum class Color { kWhite, kGray, kBlack };
-  std::map<std::string, Color> color;
-  for (const std::string& f : graph.files) color[f] = Color::kWhite;
-
+  std::vector<std::pair<std::string, std::string>> edges;
+  edges.reserve(graph.edges.size());
+  for (const IncludeEdge& e : graph.edges) edges.emplace_back(e.from, e.to);
   std::vector<Finding> findings;
-  std::set<std::string> reported;  // Canonical cycle keys, reported once.
-
-  // Iterative DFS; `path` mirrors the gray stack for cycle extraction.
-  struct Frame {
-    std::string node;
-    size_t next_edge = 0;
-  };
-  for (const std::string& start : graph.files) {
-    if (color[start] != Color::kWhite) continue;
-    std::vector<Frame> stack{{start, 0}};
-    std::vector<std::string> path{start};
-    color[start] = Color::kGray;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const auto& edges = adj[frame.node];
-      if (frame.next_edge >= edges.size()) {
-        color[frame.node] = Color::kBlack;
-        stack.pop_back();
-        path.pop_back();
-        continue;
-      }
-      const IncludeEdge* e = edges[frame.next_edge++];
-      switch (color[e->to]) {
-        case Color::kWhite:
-          color[e->to] = Color::kGray;
-          stack.push_back(Frame{e->to, 0});
-          path.push_back(e->to);
-          break;
-        case Color::kGray: {
-          // Cycle: path from e->to to the top, closed by this edge.
-          auto begin =
-              std::find(path.begin(), path.end(), e->to);
-          std::vector<std::string> cycle(begin, path.end());
-          // Canonical key: rotate so the smallest node leads.
-          auto smallest = std::min_element(cycle.begin(), cycle.end());
-          std::rotate(cycle.begin(), smallest, cycle.end());
-          std::string key;
-          std::string pretty;
-          for (const std::string& node : cycle) {
-            key += node + "|";
-            pretty += node + " -> ";
-          }
-          pretty += cycle.front();
-          if (reported.insert(key).second) {
-            findings.push_back(Finding{
-                e->from, e->line, "include-cycle",
-                "include cycle: " + pretty +
-                    "; no layering can order these files — break the cycle "
-                    "with a forward declaration or by splitting the header"});
-          }
-          break;
-        }
-        case Color::kBlack:
-          break;
-      }
-    }
+  for (const Cycle& cycle : FindCycles(graph.files, edges)) {
+    const IncludeEdge& e = graph.edges[cycle.closing_edge];
+    findings.push_back(Finding{
+        e.from, e.line, "include-cycle",
+        "include cycle: " + cycle.Path() +
+            "; no layering can order these files — break the cycle "
+            "with a forward declaration or by splitting the header"});
   }
   return findings;
 }

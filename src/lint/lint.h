@@ -19,6 +19,24 @@ struct Finding {
   std::string ToString() const;
 };
 
+/// One cycle of a directed graph, as FindCycles reports it.
+struct Cycle {
+  std::vector<std::string> nodes;  ///< Rotated so the smallest node leads.
+  size_t closing_edge = 0;         ///< Index of the edge that closed it.
+
+  /// "a -> b -> a".
+  std::string Path() const;
+};
+
+/// Every distinct cycle of the graph whose edges are (from, to) pairs, for
+/// the include-cycle and lock-order rules: an iterative three-colour DFS
+/// from each of `nodes` in order, each node's edges taken in input order.
+/// A cycle is reported once, with the edge that closed it where the DFS
+/// first met it.
+std::vector<Cycle> FindCycles(
+    const std::vector<std::string>& nodes,
+    const std::vector<std::pair<std::string, std::string>>& edges);
+
 /// Rule names (see docs/INTERNALS.md "Static analysis & sanitizers"):
 ///  * raw-rand        — std:: random machinery outside src/common/rng.*
 ///  * rng-fork        — shared Rng drawn from inside a ParallelFor body

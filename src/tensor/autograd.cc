@@ -12,7 +12,7 @@ namespace vsd::autograd {
 namespace t = ::vsd::tensor;
 
 Tensor& Node::EnsureGrad() {
-  if (grad.size() != value.size()) grad = Tensor(value.shape());
+  if (grad.shape() != value.shape()) grad = Tensor(value.shape());
   return grad;
 }
 
@@ -43,9 +43,8 @@ Var MakeOp(Tensor value, std::vector<std::shared_ptr<Node>> parents,
   return Var(node);
 }
 
-/// Sums `g` down to `shape` (for broadcasted operands).
+/// Sums `g` down to `shape`, the shape of a broadcasted operand.
 Tensor ReduceGradToShape(const Tensor& g, const std::vector<int>& shape) {
-  if (g.shape() == shape) return g.Clone();
   Tensor out(shape);
   if (out.size() == 1) {
     out.at(0) = t::Sum(g);
@@ -62,10 +61,17 @@ Tensor ReduceGradToShape(const Tensor& g, const std::vector<int>& shape) {
   return out;
 }
 
+/// Adds `g` into the target's gradient. A same-shape `g` is added in
+/// place: the grad tensor comes from EnsureGrad and no other tensor shares
+/// its storage.
 void Accumulate(Node* target, const Tensor& g) {
   if (!target->requires_grad) return;
-  Tensor reduced = ReduceGradToShape(g, target->value.shape());
-  target->EnsureGrad().AddInPlace(reduced);
+  Tensor& grad = target->EnsureGrad();
+  if (g.shape() == grad.shape()) {
+    grad.AddInPlace(g);
+  } else {
+    grad.AddInPlace(ReduceGradToShape(g, grad.shape()));
+  }
 }
 
 }  // namespace
@@ -132,23 +138,12 @@ Var Mul(const Var& a, const Var& b) {
         // d/da = g * b ; d/db = g * a (with broadcast handled by Mul +
         // ReduceGradToShape).
         if (an->requires_grad) {
-          Tensor ga(self->grad.shape());
-          if (bn->value.size() == 1) {
-            ga = t::Scale(self->grad, bn->value.at(0));
-          } else {
-            ga = t::Mul(self->grad, bn->value);
-          }
-          Accumulate(an.get(), ga);
+          Accumulate(an.get(), bn->value.size() == 1
+                                   ? t::Scale(self->grad, bn->value.at(0))
+                                   : t::Mul(self->grad, bn->value));
         }
         if (bn->requires_grad) {
-          Tensor gb(self->grad.shape());
-          if (bn->value.size() == 1 ||
-              bn->value.size() != an->value.size()) {
-            gb = t::Mul(self->grad, an->value);
-          } else {
-            gb = t::Mul(self->grad, an->value);
-          }
-          Accumulate(bn.get(), gb);
+          Accumulate(bn.get(), t::Mul(self->grad, an->value));
         }
       });
 }
@@ -167,15 +162,22 @@ Var MatMul(const Var& a, const Var& b) {
   auto bn = b.node();
   return MakeOp(t::MatMul(a.value(), b.value()), {an, bn},
                 [an, bn](Node* self) {
+                  // dA = dY·Bᵀ copies a transpose of B, which is a weight
+                  // or a constant (at most 2304x48) wherever the model
+                  // trains.
                   if (an->requires_grad) {
                     Accumulate(an.get(),
                                t::MatMul(self->grad,
                                          t::Transpose(bn->value)));
                   }
+                  // dB = Aᵀ·dY reads the activation A in place.
                   if (bn->requires_grad) {
-                    Accumulate(bn.get(),
-                               t::MatMul(t::Transpose(an->value),
-                                         self->grad));
+                    const Tensor& x = an->value;
+                    Tensor gb({x.dim(1), self->grad.dim(1)});
+                    t::kernels::MatMulTransAInto(x.data(), self->grad.data(),
+                                                 gb.data(), x.dim(0),
+                                                 x.dim(1), gb.dim(1));
+                    Accumulate(bn.get(), gb);
                   }
                 });
 }
@@ -503,22 +505,31 @@ Var Im2Col(const Var& x, int kh, int kw, int stride, int pad) {
   return MakeOp(cols, {xn},
                 [xn, n, c, h, w, oh, ow, kh, kw, stride, pad](Node* self) {
                   if (!xn->requires_grad) return;
+                  // col2im: `col` walks the patch gradients in (row, col)
+                  // order; each kernel row adds its in-bounds taps, one
+                  // contiguous NHWC run, into the pixels they were read
+                  // from (the [lo, hi) split of simd::Im2ColInto).
                   Tensor g({n, h, w, c});
+                  const float* col = self->grad.data();
                   for (int b = 0; b < n; ++b) {
+                    float* image =
+                        g.data() + static_cast<long long>(b) * h * w * c;
                     for (int oy = 0; oy < oh; ++oy) {
                       for (int ox = 0; ox < ow; ++ox) {
-                        const int row = (b * oh + oy) * ow + ox;
-                        int col = 0;
-                        for (int ky = 0; ky < kh; ++ky) {
+                        const int ix = ox * stride - pad;
+                        const int lo = std::clamp(-ix, 0, kw);
+                        const int hi = std::clamp(w - ix, lo, kw);
+                        for (int ky = 0; ky < kh;
+                             ++ky, col += static_cast<long long>(kw) * c) {
                           const int iy = oy * stride + ky - pad;
-                          for (int kx = 0; kx < kw; ++kx) {
-                            const int ix = ox * stride + kx - pad;
-                            for (int ch = 0; ch < c; ++ch, ++col) {
-                              if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
-                                g.at4(b, iy, ix, ch) +=
-                                    self->grad.at(row, col);
-                              }
-                            }
+                          if (iy < 0 || iy >= h || lo == hi) continue;
+                          float* px =
+                              image +
+                              (static_cast<long long>(iy) * w + ix + lo) * c;
+                          const float* taps =
+                              col + static_cast<long long>(lo) * c;
+                          for (int t = 0; t < (hi - lo) * c; ++t) {
+                            px[t] += taps[t];
                           }
                         }
                       }

@@ -32,6 +32,23 @@ void MatMulInto(const float* a, const float* b, float* out, int m, int k,
   }
 }
 
+// The same products, in the same i order per element, as MatMulInto over
+// a transposed copy of `a`.
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n) {
+  std::fill(out, out + static_cast<long long>(k) * n, 0.0f);
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + static_cast<long long>(i) * k;
+    const float* brow = b + static_cast<long long>(i) * n;
+    for (int p = 0; p < k; ++p) {
+      const float av = arow[p];
+      if (av == 0.0f) continue;
+      float* orow = out + static_cast<long long>(p) * n;
+      for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
+}
+
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n) {
   std::fill(out, out + static_cast<long long>(m) * n, 0.0f);
@@ -183,6 +200,12 @@ void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
   UseSimd() ? simd::MatMulInto(a, b, out, m, k, n)
             : scalar::MatMulInto(a, b, out, m, k, n);
+}
+
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n) {
+  UseSimd() ? simd::MatMulTransAInto(a, b, out, m, k, n)
+            : scalar::MatMulTransAInto(a, b, out, m, k, n);
 }
 
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,

@@ -56,6 +56,14 @@ void ClearBackendOverride();
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n);
 
+/// aᵀ·b for a [M,K] and b [M,N] -> out [K,N], reading `a` in place: the
+/// weight gradient Xᵀ·dY of the eager backward, without a transposed copy
+/// of X. Each out[p,j] is bit-identical to MatMulInto over a transposed
+/// copy of `a`: it starts at +0.0f and adds a[i,p] * b[i,j] for i
+/// ascending, skipping the i with a[i,p] == 0.
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n);
+
 /// [M,K]x[K,N] -> [M,N] where b is int8 row-quantized: bq[p*n+j] with
 /// per-k-row scale/zero_point (tensor/quant.h format). Dequantizes inline
 /// in the same fixed k-order as the fp32 kernel and accumulates in fp32,

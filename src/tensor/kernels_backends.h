@@ -22,6 +22,8 @@ namespace scalar {
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n);
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n);
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n);
 void AddRowsInto(const float* a, const float* bias, float* out, int rows,
@@ -45,6 +47,8 @@ bool Available();
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n);
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n);
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n);
 void AddRowsInto(const float* a, const float* bias, float* out, int rows,

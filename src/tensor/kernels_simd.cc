@@ -283,6 +283,114 @@ void MatMulTailColumns(const float* a, const float* b, float* out, int m,
   }
 }
 
+// ---- Aᵀ·B: weight gradients ----
+//
+// out[p, j] = sum over i of a[i, p] * b[i, j], with a [m, k] read in place:
+// the weight gradient Xᵀ·dY without a transposed copy of X. A tile of R
+// output rows (p) x V vectors (j) accumulates in registers as in
+// MatMulTile, reading R adjacent values of row i of `a` and V vectors of
+// row i of `b` for each i. The i range is walked in chunks of
+// kTransAChunkRows: every block takes a chunk before the next chunk
+// begins, and its accumulators wait in `out` in between, so each chunk of
+// `a` and `b` is read from cache by every block rather than from memory
+// (conv1's `a` is [36864, 25] at batch 64). A float stored and loaded back
+// keeps its bits, so chunking changes no result. kFirst (the first chunk)
+// starts the accumulators at +0.0f. It is a template argument, not a
+// runtime flag: merging the two starts made GCC spill every accumulator
+// around the i loop, and a 1-row call took ~1.8x the time of the
+// transposed-copy path.
+
+constexpr int kTransAChunkRows = 256;
+
+/// Rows [0, R) x vector columns [0, V * kLanes) of `out` over `rows` rows
+/// of `a` and `b`, each offset to the tile's first column.
+template <int R, int V, bool kFirst>
+inline void MatMulTransATile(const float* a, const float* b, float* out,
+                             int rows, int k, int n) {
+  vf acc[R][V];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+    const float* ov = out + static_cast<long long>(r) * n;
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v, ov += kLanes) {
+      acc[r][v] = kFirst ? vf{} : LoadF(ov);
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    const float* arow = a + static_cast<long long>(i) * k;
+    const float* brow = b + static_cast<long long>(i) * n;
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      const float av = arow[r];
+      if (av == 0.0f) continue;
+      const vf avv = Splat(av);
+      const float* bv = brow;
+#pragma GCC unroll 16
+      for (int v = 0; v < V; ++v, bv += kLanes) acc[r][v] += avv * LoadF(bv);
+    }
+  }
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+    float* ov = out + static_cast<long long>(r) * n;
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v, ov += kLanes) StoreF(ov, acc[r][v]);
+  }
+}
+
+/// The V-vector column block at `b`/`out` for every output row,
+/// TileRows(V) rows per tile, over one chunk of `rows` rows.
+template <int V, bool kFirst>
+__attribute__((noinline)) void MatMulTransAColumns(const float* a,
+                                                   const float* b,
+                                                   float* out, int rows,
+                                                   int k, int n) {
+  constexpr int kRows = TileRows(V);
+  int p = 0;
+  for (; p + kRows <= k; p += kRows) {
+    MatMulTransATile<kRows, V, kFirst>(
+        a + p, b, out + static_cast<long long>(p) * n, rows, k, n);
+  }
+  for (; p < k; ++p) {
+    MatMulTransATile<1, V, kFirst>(
+        a + p, b, out + static_cast<long long>(p) * n, rows, k, n);
+  }
+}
+
+/// The last `cols` (< kLanes) columns of every output row over one chunk,
+/// with `b` and `out` offset to the first of them.
+template <bool kFirst>
+void MatMulTransATailColumns(const float* a, const float* b, float* out,
+                             int rows, int k, int n, int cols) {
+  for (int p = 0; p < k; ++p) {
+    float* orow = out + static_cast<long long>(p) * n;
+    float acc[kLanes] = {};
+    if (!kFirst) {
+      for (int j = 0; j < cols; ++j) acc[j] = orow[j];
+    }
+    for (int i = 0; i < rows; ++i) {
+      const float av = a[static_cast<long long>(i) * k + p];
+      if (av == 0.0f) continue;
+      const float* brow = b + static_cast<long long>(i) * n;
+      for (int j = 0; j < cols; ++j) acc[j] += av * brow[j];
+    }
+    for (int j = 0; j < cols; ++j) orow[j] = acc[j];
+  }
+}
+
+/// One chunk of `rows` rows of `a` and `b` into every block of `out`.
+template <bool kFirst>
+void MatMulTransAChunk(const float* a, const float* b, float* out, int rows,
+                       int k, int n) {
+  ForEachBlock(n / kLanes, [&]<int V>(int j) {
+    MatMulTransAColumns<V, kFirst>(a, b + j, out + j, rows, k, n);
+  });
+  const int vector_cols = n - n % kLanes;
+  if (vector_cols < n) {
+    MatMulTransATailColumns<kFirst>(a, b + vector_cols, out + vector_cols,
+                                    rows, k, n, n - vector_cols);
+  }
+}
+
 }  // namespace
 
 bool Available() { return true; }
@@ -300,6 +408,17 @@ void MatMulInto(const float* a, const float* b, float* out, int m, int k,
   if (vector_cols < n) {
     MatMulTailColumns(a, b + vector_cols, out + vector_cols, m, k, n,
                       n - vector_cols);
+  }
+}
+
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n) {
+  // The first chunk also runs when m == 0, to store the zeros.
+  MatMulTransAChunk<true>(a, b, out, std::min(m, kTransAChunkRows), k, n);
+  for (int i0 = kTransAChunkRows; i0 < m; i0 += kTransAChunkRows) {
+    MatMulTransAChunk<false>(a + static_cast<long long>(i0) * k,
+                             b + static_cast<long long>(i0) * n, out,
+                             std::min(kTransAChunkRows, m - i0), k, n);
   }
 }
 
@@ -419,6 +538,10 @@ bool Available() { return false; }
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
   scalar::MatMulInto(a, b, out, m, k, n);
+}
+void MatMulTransAInto(const float* a, const float* b, float* out, int m,
+                      int k, int n) {
+  scalar::MatMulTransAInto(a, b, out, m, k, n);
 }
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n) {

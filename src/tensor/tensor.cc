@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -133,19 +134,6 @@ Tensor Tensor::DequantizeF32() const {
                       dst + static_cast<size_t>(r) * cols);
   }
   return out;
-}
-
-float& Tensor::at(int i) { return (*data_)[i]; }
-float Tensor::at(int i) const { return (*data_)[i]; }
-
-float& Tensor::at(int i, int j) { return (*data_)[i * shape_[1] + j]; }
-float Tensor::at(int i, int j) const { return (*data_)[i * shape_[1] + j]; }
-
-float& Tensor::at4(int n, int c, int h, int w) {
-  return (*data_)[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-float Tensor::at4(int n, int c, int h, int w) const {
-  return (*data_)[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
 }
 
 Tensor Tensor::Clone() const {
@@ -314,8 +302,22 @@ Tensor Transpose(const Tensor& a) {
   const int m = a.dim(0);
   const int n = a.dim(1);
   Tensor out({n, m});
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) out.at(j, i) = a.at(i, j);
+  // Square blocks, so that the rows read and the rows written both stay in
+  // cache while a block is copied.
+  constexpr int kBlock = 16;
+  const float* src = a.data();
+  float* dst = out.data();
+  for (int i0 = 0; i0 < m; i0 += kBlock) {
+    const int i1 = std::min(i0 + kBlock, m);
+    for (int j0 = 0; j0 < n; j0 += kBlock) {
+      const int j1 = std::min(j0 + kBlock, n);
+      for (int i = i0; i < i1; ++i) {
+        const float* row = src + static_cast<long long>(i) * n;
+        for (int j = j0; j < j1; ++j) {
+          dst[static_cast<long long>(j) * m + i] = row[j];
+        }
+      }
+    }
   }
   return out;
 }

@@ -78,15 +78,21 @@ class Tensor {
   /// the fused int8 MatMul kernel sees).
   Tensor DequantizeF32() const;
 
-  /// Flat accessor.
-  float& at(int i);
-  float at(int i) const;
+  /// Flat accessor. The accessors are inline and unchecked: autograd's
+  /// element loops call them billions of times per training run.
+  float& at(int i) { return (*data_)[i]; }
+  float at(int i) const { return (*data_)[i]; }
   /// 2-D accessor; requires ndim() == 2.
-  float& at(int i, int j);
-  float at(int i, int j) const;
-  /// 4-D accessor (n, c, h, w); requires ndim() == 4.
-  float& at4(int n, int c, int h, int w);
-  float at4(int n, int c, int h, int w) const;
+  float& at(int i, int j) { return (*data_)[i * shape_[1] + j]; }
+  float at(int i, int j) const { return (*data_)[i * shape_[1] + j]; }
+  /// 4-D accessor over NHWC (n, h, w, c), the layout every image and
+  /// feature map uses; requires ndim() == 4.
+  float& at4(int n, int h, int w, int c) {
+    return (*data_)[((n * shape_[1] + h) * shape_[2] + w) * shape_[3] + c];
+  }
+  float at4(int n, int h, int w, int c) const {
+    return (*data_)[((n * shape_[1] + h) * shape_[2] + w) * shape_[3] + c];
+  }
 
   /// Deep copy.
   Tensor Clone() const;

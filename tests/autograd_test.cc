@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 
 #include "common/rng.h"
+#include "tensor/kernels.h"
 
 namespace vsd::autograd {
 namespace {
 
 using ::vsd::tensor::Tensor;
+namespace k = ::vsd::tensor::kernels;
+namespace t = ::vsd::tensor;
 
 /// Numerically checks d(loss)/d(leaf) against the autograd gradient for a
 /// scalar-valued graph builder `f` evaluated at `leaf`.
@@ -260,6 +265,149 @@ TEST(AutogradTest, Im2ColValues) {
   ASSERT_EQ(cols.value().dim(1), 4);
   EXPECT_EQ(cols.value().at(0, 0), 1.0f);
   EXPECT_EQ(cols.value().at(0, 3), 4.0f);
+}
+
+// ---- Bitwise checks of the backward kernels ----
+
+/// RAII kernel-backend override.
+class BackendGuard {
+ public:
+  explicit BackendGuard(k::Backend backend) { k::SetBackend(backend); }
+  ~BackendGuard() { k::ClearBackendOverride(); }
+};
+
+/// [rows, cols] normal values with about `zero_share` of them zero, a
+/// quarter of those -0.0f.
+Tensor SparseRand(int rows, int cols, double zero_share, Rng* rng) {
+  Tensor out({rows, cols});
+  for (int i = 0; i < out.size(); ++i) {
+    out.at(i) = static_cast<float>(rng->Normal());
+    if (rng->Uniform() < zero_share) {
+      out.at(i) = rng->Bernoulli(0.25) ? -0.0f : 0.0f;
+    }
+  }
+  return out;
+}
+
+/// Runs the backward closure of `y` with `upstream` as its gradient. Set
+/// directly, the gradient can hold -0.0f, which one that went through
+/// Accumulate never does.
+void RunBackward(const Var& y, const Tensor& upstream) {
+  y.node()->grad = upstream;
+  y.node()->backward(y.node().get());
+}
+
+/// What a fresh leaf's gradient holds after `g` is accumulated into it.
+Tensor Accumulated(const Tensor& g) {
+  Tensor out(g.shape());
+  out.AddInPlace(g);
+  return out;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  if (want.size() == 0) return;
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           static_cast<size_t>(want.size()) * sizeof(float)));
+}
+
+TEST(AutogradTest, MatMulGradientsMatchTransposedProductsBitwise) {
+  // dB comes from the Aᵀ·B kernel and dA from dY·Bᵀ; both must hold the
+  // bits of the products over transposed copies. Row m/2 of `a` is zero
+  // and the same row of dY holds inf and NaN, which only dB's zero skip
+  // keeps out.
+  Rng rng(47);
+  for (k::Backend backend : {k::Backend::kScalar, k::Backend::kSimd}) {
+    BackendGuard guard(backend);
+    for (double zero_share : {0.0, 0.4, 0.95}) {
+      for (int m : {0, 1, 3, 64, 300}) {
+        for (int kk : {1, 2, 25, 72, 2304}) {
+          for (int n : {1, 2, 5, 8, 16, 48}) {
+            SCOPED_TRACE(testing::Message()
+                         << k::BackendName(backend) << " zero share "
+                         << zero_share << " m=" << m << " k=" << kk
+                         << " n=" << n);
+            Tensor a = SparseRand(m, kk, zero_share, &rng);
+            const Tensor b = SparseRand(kk, n, 0.0, &rng);
+            Tensor g = SparseRand(m, n, zero_share, &rng);
+            if (m > 0) {
+              const float specials[] = {
+                  std::numeric_limits<float>::infinity(),
+                  -std::numeric_limits<float>::infinity(),
+                  std::numeric_limits<float>::quiet_NaN()};
+              for (int p = 0; p < kk; ++p) a.at(m / 2, p) = 0.0f;
+              for (int j = 0; j < n; ++j) g.at(m / 2, j) = specials[j % 3];
+            }
+            Var av(a, true);
+            Var bv(b, true);
+            RunBackward(MatMul(av, bv), g);
+            ExpectSameBits(bv.grad(),
+                           Accumulated(t::MatMul(t::Transpose(a), g)));
+            ExpectSameBits(av.grad(),
+                           Accumulated(t::MatMul(g, t::Transpose(b))));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// col2im as one indexed add per in-bounds tap, in (row, col) order: the
+/// loop Im2Col's backward ran before it walked raw pointers.
+Tensor Col2ImByTaps(const Tensor& cols, int n, int h, int w, int c, int kh,
+                    int kw, int stride, int pad) {
+  const int oh = ConvOutDim(h, kh, stride, pad);
+  const int ow = ConvOutDim(w, kw, stride, pad);
+  Tensor g({n, h, w, c});
+  for (int b = 0; b < n; ++b) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        const int row = (b * oh + oy) * ow + ox;
+        int col = 0;
+        for (int ky = 0; ky < kh; ++ky) {
+          const int iy = oy * stride + ky - pad;
+          for (int kx = 0; kx < kw; ++kx) {
+            const int ix = ox * stride + kx - pad;
+            for (int ch = 0; ch < c; ++ch, ++col) {
+              if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
+                g.at4(b, iy, ix, ch) += cols.at(row, col);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return g;
+}
+
+TEST(AutogradTest, Im2ColGradientMatchesTapLoopBitwise) {
+  Rng rng(48);
+  struct Window {
+    int kh, kw;
+  };
+  constexpr int kN = 2, kH = 7, kW = 6;
+  for (int c : {1, 8}) {
+    for (const Window& win :
+         {Window{1, 1}, Window{3, 3}, Window{5, 5}, Window{2, 3}}) {
+      for (int stride : {1, 2}) {
+        for (int pad : {0, 1, 2}) {
+          SCOPED_TRACE(testing::Message()
+                       << "c=" << c << " k=" << win.kh << "x" << win.kw
+                       << " stride=" << stride << " pad=" << pad);
+          Var x(Tensor::Randn({kN, kH, kW, c}, &rng), true);
+          Var cols = Im2Col(x, win.kh, win.kw, stride, pad);
+          const Tensor upstream = SparseRand(
+              cols.value().dim(0), cols.value().dim(1), 0.3, &rng);
+          RunBackward(cols, upstream);
+          ExpectSameBits(x.grad(),
+                         Accumulated(Col2ImByTaps(upstream, kN, kH, kW, c,
+                                                  win.kh, win.kw, stride,
+                                                  pad)));
+        }
+      }
+    }
+  }
 }
 
 TEST(AutogradTest, ConvOutDim) {

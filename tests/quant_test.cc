@@ -190,6 +190,10 @@ TEST(RegistryTest, ScalarIsRegisteredForEveryOp) {
                       [&](auto* fn, float* out) {
                         fn(in.a.data(), in.b.data(), out, 4, 10, 9);
                       });
+  ExpectEntryComputes(sc, &k::MatMulTransAInto, &k::scalar::MatMulTransAInto,
+                      10 * 9, [&](auto* fn, float* out) {
+                        fn(in.a.data(), in.c.data(), out, 4, 10, 9);
+                      });
   ExpectEntryComputes(sc, &k::MatMulI8Into, &k::scalar::MatMulI8Into, 4 * 9,
                       [&](auto* fn, float* out) {
                         fn(in.a.data(), in.bq.qdata(), in.bq.qscale(),
@@ -337,6 +341,51 @@ TEST(SimdBitIdentityTest, MatMulF32IncludingTails) {
           const std::vector<float> b =
               OperandWithNonFiniteRow(kk, n, kk / 2, &rng);
           ExpectMatMulExact(a, b, m, kk, n);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBitIdentityTest, MatMulTransAIncludingTails) {
+  // aᵀ·b straight from a [m,k] must give the bits of MatMulInto over a
+  // transposed copy, under both backends. m crosses the simd kernel's
+  // 256-row chunk (accumulators carried through `out`), k covers every
+  // row-tile remainder and n every column class of MatMulF32IncludingTails.
+  // Row m/2 of `a` is all zero (some -0.0f) and the same row of `b` holds
+  // inf and NaN, which only the zero skip keeps out of the product.
+  Rng rng(28);
+  for (double zero_share : {0.05, 0.4, 0.95}) {
+    for (int m : {0, 1, 2, 3, 64, 256, 300, 600}) {
+      for (int kk : {1, 2, 3, 4, 5, 7, 9, 13, 25, 72}) {
+        for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                      12, 13, 14, 15, 16, 17, 24, 48, 96, 192}) {
+          SCOPED_TRACE(testing::Message()
+                       << "zero share " << zero_share << " m=" << m
+                       << " k=" << kk << " n=" << n);
+          // SparseOperand zeroes a column; transposed, it is a's row m/2.
+          const std::vector<float> at =
+              SparseOperand(kk, m, zero_share, m / 2, &rng);
+          std::vector<float> a(at.size());
+          for (int i = 0; i < m; ++i) {
+            for (int p = 0; p < kk; ++p) {
+              a[static_cast<size_t>(i) * kk + p] =
+                  at[static_cast<size_t>(p) * m + i];
+            }
+          }
+          const std::vector<float> b =
+              m == 0 ? std::vector<float>()
+                     : OperandWithNonFiniteRow(m, n, m / 2, &rng);
+          const size_t size = static_cast<size_t>(kk) * n;
+          ExpectBackendsBitIdentical(size, [&](float* out) {
+            k::MatMulTransAInto(a.data(), b.data(), out, m, kk, n);
+          });
+          std::vector<float> direct(size, 3.5f);
+          std::vector<float> transposed(size, -7.25f);
+          k::MatMulTransAInto(a.data(), b.data(), direct.data(), m, kk, n);
+          k::MatMulInto(at.data(), b.data(), transposed.data(), kk, m, n);
+          EXPECT_EQ(0, std::memcmp(direct.data(), transposed.data(),
+                                   size * sizeof(float)));
         }
       }
     }
