@@ -90,7 +90,6 @@ int Main(int argc, char** argv) {
   serve::ServeConfig config;
   config.max_queue = static_cast<int>(served.size());
   config.max_batch = 8;
-  config.max_batch_delay_micros = 500;
   config.num_workers = 2;
   config.retry.max_retries = 2;
   config.retry.initial_backoff_micros = 100;

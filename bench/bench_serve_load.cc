@@ -140,7 +140,6 @@ serve::ReplicaPool::Config PoolConfig(const serve::ManualClock* sim_clock) {
   config.replica.num_workers = 0;  // Stepped: the event loop drives Pump().
   config.replica.max_queue = 64;
   config.replica.max_batch = 8;
-  config.replica.max_batch_delay_micros = 2000;
   // ~180 samples/s per replica: a full batch of 8 occupies the replica for
   // 20ms + 8 * 3ms = 44ms of virtual time.
   config.replica.service_base_micros = 20000;

@@ -1,6 +1,5 @@
 #include "lint/annotations.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/string_util.h"
@@ -221,13 +220,6 @@ AnnotationIndex BuildAnnotationIndex(const DataflowProgram& program) {
 
 namespace {
 
-struct HeldLock {
-  std::string id;
-  std::string guard;  ///< Guard variable; empty for manual/REQUIRES holds.
-  int depth = 0;
-  bool manual = false;  ///< Manual or REQUIRES: never popped by scope exit.
-};
-
 std::string ShortLock(const std::string& id) {
   return LastComponent(id);
 }
@@ -249,86 +241,17 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
 
     const std::set<std::string> locals =
         CollectBodyLocals(toks, fn.body_open, fn.body_close);
-    std::vector<HeldLock> held;
-    if (self != nullptr) {
-      for (const std::string& id : self->requires_held) {
-        held.push_back(HeldLock{id, "", 0, true});
-      }
-    }
-    auto holds = [&](const std::string& id) {
-      for (const HeldLock& h : held) {
-        if (h.id == id) return true;
-      }
-      return false;
-    };
     std::set<std::string> reported;
-    int depth = 0;
 
-    for (size_t k = fn.body_open + 1; k < fn.body_close && k < toks.size();
-         ++k) {
+    LockScanHooks hooks;
+    hooks.on_ident = [&](size_t k, const std::vector<HeldLock>& held) {
+      const auto holds = [&](const std::string& id) {
+        for (const HeldLock& h : held) {
+          if (h.id == id) return true;
+        }
+        return false;
+      };
       const std::string& t = toks[k].text;
-      if (t == "{") {
-        ++depth;
-        continue;
-      }
-      if (t == "}") {
-        --depth;
-        held.erase(std::remove_if(held.begin(), held.end(),
-                                  [&](const HeldLock& h) {
-                                    return !h.manual && h.depth > depth;
-                                  }),
-                   held.end());
-        continue;
-      }
-      if (!IsIdent(toks[k])) continue;
-
-      // Guard declaration acquires its mutex args for the scope.
-      if (GuardTypes().count(t)) {
-        size_t j = k + 1;
-        if (j < toks.size() && toks[j].text == "<") j = SkipAngles(toks, j);
-        if (j >= toks.size() || !IsIdent(toks[j])) continue;
-        const std::string guard = toks[j].text;
-        ++j;
-        if (j >= toks.size() ||
-            (toks[j].text != "(" && toks[j].text != "{")) {
-          continue;
-        }
-        const bool paren = toks[j].text == "(";
-        const size_t close = paren ? MatchForward(toks, j, "(", ")")
-                                   : MatchForward(toks, j, "{", "}");
-        for (const std::string& chain : GuardArgChains(toks, j, close)) {
-          held.push_back(
-              HeldLock{LockId(fn, locals, chain), guard, depth, false});
-        }
-        k = close;
-        continue;
-      }
-
-      // Manual mu.lock()/unlock() windows (and guard-var relock/unlock).
-      if ((t == "lock" || t == "lock_shared" || t == "unlock" ||
-           t == "unlock_shared") &&
-          k >= 2 && (toks[k - 1].text == "." || toks[k - 1].text == "->") &&
-          k + 1 < toks.size() && toks[k + 1].text == "(") {
-        const std::string chain = WalkBackChain(toks, k - 2);
-        if (chain.empty()) continue;
-        const std::string id = LockId(fn, locals, chain);
-        if (t == "lock" || t == "lock_shared") {
-          bool is_guard = false;
-          for (HeldLock& h : held) is_guard |= h.guard == chain;
-          if (is_guard) continue;
-          // Re-acquiring through a deferred/unlocked guard variable.
-          bool relock = false;
-          for (const HeldLock& h : held) relock |= h.id == id;
-          if (!relock) held.push_back(HeldLock{id, "", depth, true});
-        } else {
-          held.erase(std::remove_if(held.begin(), held.end(),
-                                    [&](const HeldLock& h) {
-                                      return h.guard == chain || h.id == id;
-                                    }),
-                     held.end());
-        }
-        continue;
-      }
 
       // Access to a VSD_GUARDED_BY field of this class.
       if (!ctor_like && ca != nullptr && ca->guarded.count(t) &&
@@ -352,7 +275,7 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
                       ShortLock(required) + ") and fix its callers"});
             }
           }
-          continue;
+          return;
         }
       }
 
@@ -362,8 +285,8 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
         const std::string& prev = toks[k - 1].text;
         const bool via_this =
             prev == "->" && k >= 2 && toks[k - 2].text == "this";
-        if ((prev == "." || prev == "->") && !via_this) continue;
-        if (prev == "::" && IsStdQualified(toks, k)) continue;
+        if ((prev == "." || prev == "->") && !via_this) return;
+        if (prev == "::" && IsStdQualified(toks, k)) return;
         for (const DfFunction* callee : program.Resolve(fn, t)) {
           const MethodContract* c2 =
               index.ContractFor(callee->qualifier, callee->name);
@@ -397,7 +320,10 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
           }
         }
       }
-    }
+    };
+    ScanFunctionLocks(toks, fn, hooks,
+                      self != nullptr ? self->requires_held
+                                      : std::set<std::string>());
   }
   return findings;
 }

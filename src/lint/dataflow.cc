@@ -320,37 +320,14 @@ std::vector<std::string> GuardArgChains(const std::vector<Token>& toks,
   return chains;
 }
 
-namespace {
-
-struct Held {
-  std::string id;
-  std::string guard;  ///< Guard variable; empty for a manual .lock().
-  int depth = 0;      ///< Brace depth at declaration (guards pop with it).
-  bool manual = false;
-};
-
-/// One callback per acquisition (with the currently-held set) and one per
-/// resolvable call made while holding at least one lock.
-struct LockScanHooks {
-  std::function<void(const std::string& id, int line,
-                     const std::vector<Held>& held)>
-      on_acquire;
-  std::function<void(const std::string& name, int line,
-                     const std::vector<Held>& held)>
-      on_call;
-};
-
-/// `initial` seeds the held set on entry (VSD_REQUIRES contracts: the
-/// caller already holds those locks). Seeded entries are `manual`, so brace
-/// pops never release them.
 void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
                        const LockScanHooks& hooks,
-                       const std::set<std::string>& initial = {}) {
+                       const std::set<std::string>& initial) {
   const std::set<std::string> locals =
       CollectBodyLocals(toks, fn.body_open, fn.body_close);
-  std::vector<Held> held;
+  std::vector<HeldLock> held;
   for (const std::string& id : initial) {
-    held.push_back(Held{id, "", 0, true});
+    held.push_back(HeldLock{id, "", 0, true});
   }
   int depth = 0;
   for (size_t k = fn.body_open + 1; k < fn.body_close && k < toks.size();
@@ -363,7 +340,7 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
     if (t == "}") {
       --depth;
       held.erase(std::remove_if(held.begin(), held.end(),
-                                [&](const Held& h) {
+                                [&](const HeldLock& h) {
                                   return !h.manual && h.depth > depth;
                                 }),
                  held.end());
@@ -384,11 +361,11 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
       const bool paren = toks[j].text == "(";
       const size_t close = paren ? MatchForward(toks, j, "(", ")")
                                  : MatchForward(toks, j, "{", "}");
-      std::vector<Held> newly;
+      std::vector<HeldLock> newly;
       for (const std::string& chain : GuardArgChains(toks, j, close)) {
         const std::string id = LockId(fn, locals, chain);
         if (hooks.on_acquire) hooks.on_acquire(id, toks[k].line, held);
-        newly.push_back(Held{id, guard, depth, false});
+        newly.push_back(HeldLock{id, guard, depth, false});
       }
       // scoped_lock's own arguments acquire atomically: edges only from
       // locks already held, never among the group — so push after.
@@ -409,20 +386,22 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
         // Re-locking through a guard variable (defer_lock) re-acquires the
         // guard's mutex, which is already in `held`; skip those.
         bool is_guard = false;
-        for (const Held& h : held) is_guard |= h.guard == chain;
+        for (const HeldLock& h : held) is_guard |= h.guard == chain;
         if (!is_guard) {
           if (hooks.on_acquire) hooks.on_acquire(id, toks[k].line, held);
-          held.push_back(Held{id, "", depth, true});
+          held.push_back(HeldLock{id, "", depth, true});
         }
       } else {
         held.erase(std::remove_if(held.begin(), held.end(),
-                                  [&](const Held& h) {
+                                  [&](const HeldLock& h) {
                                     return h.guard == chain || h.id == id;
                                   }),
                    held.end());
       }
       continue;
     }
+
+    if (hooks.on_ident) hooks.on_ident(k, held);
 
     // Call made while holding a lock: candidate for one-level linking.
     // Only bare / ::-qualified heads; member calls have unknown receivers.
@@ -436,7 +415,6 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
   }
 }
 
-}  // namespace
 
 LockGraph BuildLockGraph(const DataflowProgram& program) {
   const std::vector<DfFunction>& fns = program.functions();
@@ -463,7 +441,8 @@ LockGraph BuildLockGraph(const DataflowProgram& program) {
       }
     }
     LockScanHooks hooks;
-    hooks.on_acquire = [&](const std::string& id, int, const std::vector<Held>&) {
+    hooks.on_acquire = [&](const std::string& id, int,
+                           const std::vector<HeldLock>&) {
       direct[i].insert(id);
       nodes.insert(id);
     };
@@ -485,14 +464,14 @@ LockGraph BuildLockGraph(const DataflowProgram& program) {
     if (direct[i].empty() && entry_held[i].empty()) continue;
     LockScanHooks hooks;
     hooks.on_acquire = [&](const std::string& id, int line,
-                           const std::vector<Held>& held) {
-      for (const Held& h : held) add_edge(h.id, id, fns[i].file, line, "");
+                           const std::vector<HeldLock>& held) {
+      for (const HeldLock& h : held) add_edge(h.id, id, fns[i].file, line, "");
     };
     hooks.on_call = [&](const std::string& name, int line,
-                        const std::vector<Held>& held) {
+                        const std::vector<HeldLock>& held) {
       for (const DfFunction* callee : program.Resolve(fns[i], name)) {
         for (const std::string& id : direct[index[callee]]) {
-          for (const Held& h : held) {
+          for (const HeldLock& h : held) {
             add_edge(h.id, id, fns[i].file, line, name);
           }
         }
@@ -501,23 +480,6 @@ LockGraph BuildLockGraph(const DataflowProgram& program) {
     ScanFunctionLocks(program.tokens(fns[i].file), fns[i], hooks,
                       entry_held[i]);
   }
-  // Pass 2 skipped lock-free functions, so re-run call linking for them.
-  for (size_t i = 0; i < fns.size(); ++i) {
-    if (!direct[i].empty() || !entry_held[i].empty()) continue;
-    LockScanHooks hooks;
-    hooks.on_call = [&](const std::string& name, int line,
-                        const std::vector<Held>& held) {
-      for (const DfFunction* callee : program.Resolve(fns[i], name)) {
-        for (const std::string& id : direct[index[callee]]) {
-          for (const Held& h : held) {
-            add_edge(h.id, id, fns[i].file, line, name);
-          }
-        }
-      }
-    };
-    ScanFunctionLocks(program.tokens(fns[i].file), fns[i], hooks);
-  }
-
   graph.nodes.assign(nodes.begin(), nodes.end());
   std::sort(graph.edges.begin(), graph.edges.end(),
             [](const LockEdge& a, const LockEdge& b) {

@@ -1,6 +1,7 @@
 #ifndef VSD_LINT_DATAFLOW_H_
 #define VSD_LINT_DATAFLOW_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -92,6 +93,39 @@ std::vector<std::string> GuardArgChains(const std::vector<Token>& toks,
 /// distinguish per-function statics from class members.
 std::set<std::string> CollectBodyLocals(const std::vector<Token>& toks,
                                         size_t body_open, size_t body_close);
+
+/// One lock held at a point of a function body (see ScanFunctionLocks).
+struct HeldLock {
+  std::string id;
+  std::string guard;  ///< Guard variable; empty for manual/REQUIRES holds.
+  int depth = 0;      ///< Brace depth at declaration (guards pop with it).
+  bool manual = false;  ///< Manual or REQUIRES: never popped by scope exit.
+};
+
+/// Callbacks of the held-set walk, each given the locks held at that point.
+struct LockScanHooks {
+  /// Each acquisition, before it joins the held set.
+  std::function<void(const std::string& id, int line,
+                     const std::vector<HeldLock>& held)>
+      on_acquire;
+  /// Each bare or ::-qualified call head (never std-like) made while
+  /// holding at least one lock: a candidate for one-level call linking.
+  std::function<void(const std::string& name, int line,
+                     const std::vector<HeldLock>& held)>
+      on_call;
+  /// Each identifier at token `k` that the walk does not consume as a
+  /// guard declaration or a lock()/unlock() call.
+  std::function<void(size_t k, const std::vector<HeldLock>& held)> on_ident;
+};
+
+/// Walks `fn`'s body tracking the held set: guard declarations (popped
+/// with their brace depth), manual lock()/unlock() windows, and `initial`
+/// (VSD_REQUIRES contracts: held on entry, never popped). A re-lock
+/// through a guard variable is skipped; a re-lock of a held id by name is
+/// another acquisition and another entry.
+void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
+                       const LockScanHooks& hooks,
+                       const std::set<std::string>& initial = {});
 
 /// Whole-program function table over the same file walk as the include
 /// graph. Call sites are resolved by name only for bare and ::-qualified

@@ -101,7 +101,6 @@ std::future<vsd::Result<ServeResult>> Replica::Submit(
   req->sample = sample;
   const int64_t now = clock_->NowMicros();
   req->arrival_micros = now;
-  req->enqueued_micros = now;
   req->ready_micros = now;
   const int64_t effective_deadline = options.deadline_micros > 0
                                          ? options.deadline_micros
@@ -119,14 +118,15 @@ std::future<vsd::Result<ServeResult>> Replica::Submit(
 
 bool Replica::SubmitRouted(std::unique_ptr<Request>& req) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (stop_ || static_cast<int>(pending_.size()) >= config_.max_queue) {
+  // Counted as in Submit: a shut-down replica counts nothing, a full queue
+  // counts a submission and its refusal.
+  if (stop_) return false;
+  stats_.AddSubmitted();
+  if (static_cast<int>(pending_.size()) >= config_.max_queue) {
     stats_.AddRejectedQueueFull();
     return false;
   }
-  stats_.AddSubmitted();
-  const int64_t now = clock_->NowMicros();
-  req->enqueued_micros = now;
-  req->ready_micros = now;
+  req->ready_micros = clock_->NowMicros();
   req->tried_mask |= uint64_t{1} << id_;
   pending_.push_back(std::move(req));
   cv_.notify_one();
@@ -234,8 +234,10 @@ std::vector<std::unique_ptr<Request>> Replica::CutBatchLocked(
     int64_t now, int64_t* completion_micros) {
   *completion_micros = 0;
   const bool service_model = config_.service_base_micros > 0;
-  // Under the service model the replica is a single virtual executor: no
-  // new batch is cut while the previous one is still "running".
+  // Work-conserving cut: a free replica takes what is ready at once. Only
+  // the service model can find it busy (a single virtual executor until the
+  // previous batch "completes"); a worker calling this is idle, and a
+  // stepped batch without the model completes at its cut time.
   if (service_model && now < busy_until_micros_ && !stop_) return {};
   // A request is ready once past its backoff gate; the shutdown drain
   // treats everything as ready (remaining backoff is pointless then).
@@ -244,18 +246,6 @@ std::vector<std::unique_ptr<Request>> Replica::CutBatchLocked(
     if (stop_ || pending_[i]->ready_micros <= now) ready.push_back(i);
   }
   if (ready.empty()) return {};
-  bool due = stop_ || static_cast<int>(ready.size()) >= config_.max_batch;
-  if (!due) {
-    // Age-based cut: some ready request has waited out the batching delay
-    // (requeued retries keep their original enqueue time, so they are
-    // dispatched with the next cut rather than re-paying the delay).
-    int64_t oldest = pending_[ready.front()]->enqueued_micros;
-    for (size_t idx : ready) {
-      oldest = std::min(oldest, pending_[idx]->enqueued_micros);
-    }
-    due = oldest + config_.max_batch_delay_micros <= now;
-  }
-  if (!due) return {};
   // Interactive requests outrank batch-class ones when the cut is
   // oversubscribed; within a class, queue order (stable) is kept.
   if (static_cast<int>(ready.size()) > config_.max_batch) {
@@ -297,8 +287,6 @@ int64_t Replica::NextWakeDelayLocked(int64_t now) const {
     if (req->ready_micros > now) {
       delay = std::min(delay, req->ready_micros - now);
     }
-    delay = std::min(
-        delay, req->enqueued_micros + config_.max_batch_delay_micros - now);
   }
   return std::max<int64_t>(delay, kMinWakeMicros);
 }
@@ -313,7 +301,6 @@ int64_t Replica::NextEventLocked(int64_t now) const {
   for (const std::unique_ptr<Request>& req : pending_) {
     if (req->has_deadline) consider(req->deadline_micros);
     consider(req->ready_micros);
-    consider(req->enqueued_micros + config_.max_batch_delay_micros);
   }
   return event;
 }

@@ -33,11 +33,15 @@ struct ServeConfig {
   /// `Unavailable` (backpressure) instead of growing memory without bound.
   int max_queue = 64;
 
-  /// Dynamic batching: a batch is cut when `max_batch` requests are ready,
-  /// or when the oldest ready request has waited `max_batch_delay_micros`
-  /// since submission, whichever comes first. Interactive-QoS requests are
-  /// placed ahead of batch-QoS ones when a cut is oversubscribed.
+  /// Work-conserving batching: a free replica cuts as soon as a request is
+  /// ready, taking up to `max_batch` (interactive QoS first). Batches grow
+  /// under load from requests that arrive while it is busy; there is no
+  /// hold time, since a clip costs the same per sample at any batch size.
   int max_batch = 8;
+
+  /// Read by nothing. It is kept declared only because the repository
+  /// benchmark (benchmark/load_generator.cc) still sets it; delete it once
+  /// that file stops.
   int64_t max_batch_delay_micros = 2000;
 
   /// Worker threads cutting and processing batches. 0 means no workers:
@@ -124,8 +128,7 @@ struct Request {
   data::VideoSample sample;
   std::promise<vsd::Result<ServeResult>> promise;
   int64_t arrival_micros = 0;   ///< First submission; latency base.
-  int64_t enqueued_micros = 0;  ///< Current queue entry; batching-age base.
-  int64_t ready_micros = 0;     ///< Backoff gate; = enqueued initially.
+  int64_t ready_micros = 0;     ///< Backoff gate; = queue entry initially.
   int64_t deadline_micros = 0;  ///< Absolute, on the serving clock.
   bool has_deadline = false;
   int attempt = 0;     ///< Completed pipeline attempts so far (all replicas).
@@ -184,7 +187,7 @@ class Replica {
   /// Routed submission (router / failover path): takes ownership on
   /// success (true); leaves `req` intact and returns false when the queue
   /// is full or the replica is shut down, so the caller can try the next
-  /// replica on the ring.
+  /// replica on the ring. Counts as `Submit` does.
   bool SubmitRouted(std::unique_ptr<Request>& req);
 
   /// Stops intake, drains the queue, joins workers, and resolves leftover
@@ -196,9 +199,9 @@ class Replica {
   /// number of requests processed. No-op on a replica with workers.
   int Pump();
 
-  /// Earliest clock time at which `Pump()` could make progress (a cut
-  /// becoming due, a backoff gate or deadline expiring, the service model
-  /// freeing the replica), or `kNoEvent` when the queue is idle.
+  /// Earliest clock time after now at which `Pump()` could make progress
+  /// (the service model freeing the replica, a backoff gate or deadline
+  /// expiring), or `kNoEvent` when the queue is idle.
   static constexpr int64_t kNoEvent = INT64_MAX;
   int64_t NextEventMicros() const;
 
@@ -229,21 +232,21 @@ class Replica {
   /// Resolves expired requests in place.
   void ResolveExpiredLocked(int64_t now) VSD_REQUIRES(mu_);
 
-  /// Pops up to max_batch ready requests (interactive QoS first) when a
-  /// cut is due (size, age, or drain) and the replica is not busy under
-  /// the service model, else returns empty. When the service model is
-  /// active, advances busy_until_micros_ and writes the batch's virtual
-  /// completion time to `*completion_micros` (0 otherwise).
+  /// Pops up to max_batch ready requests (interactive QoS first, queue
+  /// order within a class) unless the service model has the replica busy;
+  /// empty when nothing is ready. When the service model is active,
+  /// advances busy_until_micros_ and writes the batch's virtual completion
+  /// time to `*completion_micros` (0 otherwise).
   std::vector<std::unique_ptr<Request>> CutBatchLocked(
       int64_t now, int64_t* completion_micros) VSD_REQUIRES(mu_);
 
-  /// How long (micros) a worker may sleep before the next deadline /
-  /// backoff expiry / age-based cut could need attention.
+  /// How long (micros) a worker may sleep before the next deadline or
+  /// backoff expiry could need attention.
   int64_t NextWakeDelayLocked(int64_t now) const VSD_REQUIRES(mu_);
 
   /// Earliest event time strictly after `now` over the pending queue
-  /// (ready gates, age cuts, deadlines, the service-model busy horizon),
-  /// or kNoEvent.
+  /// (ready gates, deadlines, the service-model busy horizon), or
+  /// kNoEvent.
   int64_t NextEventLocked(int64_t now) const VSD_REQUIRES(mu_);
 
   /// Runs one cut batch through the pipeline and resolves, retries,

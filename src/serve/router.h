@@ -32,8 +32,11 @@ struct RouterConfig {
 
 /// Router-level counters (one consistent snapshot, like ServeStats).
 /// `submitted` counts unique requests entering the router; per-replica
-/// `ServeStatsSnapshot.submitted` counts queue entries, so a request that
-/// fails over appears once here and once per replica that accepted it.
+/// `ServeStatsSnapshot.submitted` counts placement attempts on a running
+/// replica, refused or not, so a request appears once here and once per
+/// replica it was offered to. Once every request has resolved, the pool's
+/// summed `Resolved()` plus `shed_admission` and `shed_queue_full` equals
+/// `submitted` here, and its summed `failed_over` equals `failovers`.
 struct RouterStatsSnapshot {
   int64_t submitted = 0;
   int64_t shed_admission = 0;   ///< Shed by the token bucket, pre-queue.

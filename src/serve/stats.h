@@ -14,7 +14,10 @@ namespace vsd::serve {
 /// into exactly one of {completed_full, completed_fallback, completed_prior,
 /// invalid_arguments, deadline_exceeded, dropped_on_shutdown} or is handed
 /// to another replica (failed_over); rejected requests
-/// (rejected_queue_full) never enter the queue.
+/// (rejected_queue_full) never enter the queue. `Submit` and
+/// `SubmitRouted` count alike (a submission to a shut-down replica counts
+/// nothing), so on either path
+/// `submitted == Resolved() + failed_over + rejected_queue_full + pending`.
 struct ServeStatsSnapshot {
   int64_t submitted = 0;
   int64_t rejected_queue_full = 0;
@@ -58,8 +61,8 @@ struct ServeStatsSnapshot {
 /// \brief Thread-safe serving counters.
 ///
 /// One mutex guards the whole struct so `Snapshot()` is a single consistent
-/// copy: cross-counter invariants (`Resolved() + pending == submitted`,
-/// batch fill ratios) hold in every snapshot, even ones taken mid-run while
+/// copy: cross-counter invariants (the conservation formula above, batch
+/// fill ratios) hold in every snapshot, even ones taken mid-run while
 /// workers are mutating — unlike the earlier per-field atomics, where a
 /// reader could observe a completion without its submission. Increment
 /// frequency is per request / per batch, so the lock is never on a

@@ -183,6 +183,36 @@ TEST(CheckGuardedByTest, GuardedAccessInOutOfClassBodyIsTracked) {
   EXPECT_TRUE(CheckGuardedBy(program, index).empty());
 }
 
+// guarded-by and lock-order share one held-set walk, which counts a
+// re-lock by name of a mutex a guard holds as one more hold: it outlives
+// the guard's scope (a recursive mutex stays locked there) until an
+// unlock() releases every hold of it.
+TEST(CheckGuardedByTest, NamedRelockOutlivesItsGuardScope) {
+  DataflowProgram program;
+  program.AddFile("src/x/c.cc", Lex(R"cc(
+    class Counter {
+     public:
+      void Inc() {
+        {
+          std::lock_guard<std::recursive_mutex> lock(mu_);
+          mu_.lock();
+        }
+        n_ += 1;
+        mu_.unlock();
+        n_ += 2;
+      }
+
+     private:
+      std::recursive_mutex mu_;
+      int n_ VSD_GUARDED_BY(mu_) = 0;
+    };
+  )cc"));
+  const AnnotationIndex index = BuildAnnotationIndex(program);
+  const std::vector<Finding> findings = CheckGuardedBy(program, index);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 11);
+}
+
 TEST(CheckUnannotatedMutexTest, OnlySrcClassesWithZeroGuardedFieldsFlag) {
   DataflowProgram program;
   program.AddFile("src/x/c.cc", Lex(R"cc(

@@ -85,7 +85,6 @@ ReplicaPool::Config SteppedPoolConfig(const ManualClock* clock) {
   config.replica.num_workers = 0;
   config.replica.clock = clock;
   config.replica.max_batch = 4;
-  config.replica.max_batch_delay_micros = 1000;
   config.replica.max_queue = 256;
   return config;
 }
@@ -167,6 +166,106 @@ TEST_F(ReplicaPoolTest, RoutedThreeReplicaServingMatchesDirectPredictBatch) {
     used_nonzero_replica |= result->replica != 0;
   }
   EXPECT_TRUE(used_nonzero_replica) << "ring sent every session to replica 0";
+}
+
+// --------------------------------------------------- work-conserving cut ----
+
+TEST_F(ReplicaPoolTest, IdleReplicaCutsALoneRequestAtOnce) {
+  FaultInjector::Global().Disable();
+  ModelWorld& world = ModelWorld::Shared();
+  ManualClock clock(5000);
+  ReplicaPool pool({&world.pipeline}, SteppedPoolConfig(&clock));
+  Replica& replica = pool.replica(0);
+
+  ServeFuture future = replica.Submit(world.dataset.samples[0],
+                                      RequestOptions{});
+  // Same instant, one request of max_batch 4: an idle replica does not wait
+  // for company.
+  EXPECT_EQ(replica.Pump(), 1);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  vsd::Result<ServeResult> result = future.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->degradation, DegradationLevel::kFull);
+  EXPECT_EQ(result->prob_stressed,
+            world.pipeline.PredictProbStressed(world.dataset.samples[0]));
+  EXPECT_EQ(result->latency_micros, 0);
+  EXPECT_EQ(replica.Stats().batches_cut, 1);
+  EXPECT_EQ(replica.NextEventMicros(), Replica::kNoEvent);
+}
+
+TEST_F(ReplicaPoolTest, BusyReplicaBatchesArrivalsInteractiveFirst) {
+  FaultInjector::Global().Disable();
+  ModelWorld& world = ModelWorld::Shared();
+  ManualClock clock;
+  ReplicaPool::Config config = SteppedPoolConfig(&clock);
+  config.replica.service_base_micros = 1000;
+  config.replica.service_per_sample_micros = 100;
+  ReplicaPool pool({&world.pipeline}, config);
+  Replica& replica = pool.replica(0);
+  const int max_batch = config.replica.max_batch;
+
+  // A first request makes the replica busy until 1000 + 1 * 100.
+  ServeFuture first = replica.Submit(world.dataset.samples[0],
+                                     RequestOptions{});
+  EXPECT_EQ(replica.Pump(), 1);
+
+  // max_batch + 2 arrivals while it is busy, batch QoS on even positions:
+  // B0 I1 B2 I3 B4 I5. Nothing is cut before the replica is free.
+  std::vector<ServeFuture> futures;
+  for (int i = 0; i < max_batch + 2; ++i) {
+    clock.Set(100 * (i + 1));
+    RequestOptions options;
+    options.qos = i % 2 == 0 ? QosClass::kBatch : QosClass::kInteractive;
+    futures.push_back(replica.Submit(
+        world.dataset.samples[static_cast<size_t>(i + 1)], options));
+    EXPECT_EQ(replica.Pump(), 0) << "cut while busy, arrival " << i;
+  }
+  EXPECT_EQ(replica.NextEventMicros(), 1100);
+
+  // At busy_until one pump cuts exactly max_batch: the three interactive
+  // requests, then the oldest batch-class one. It completes at
+  // 1100 + 1000 + 4 * 100.
+  clock.Set(1100);
+  EXPECT_EQ(replica.Pump(), max_batch);
+  const std::vector<int> cut = {0, 1, 3, 5};  // B0 I1 I3 I5.
+  const std::vector<int> left = {2, 4};       // B2 B4.
+  for (int i : cut) {
+    ASSERT_EQ(futures[static_cast<size_t>(i)].wait_for(
+                  std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "arrival " << i;
+  }
+  for (int i : left) {
+    EXPECT_NE(futures[static_cast<size_t>(i)].wait_for(
+                  std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "arrival " << i;
+  }
+  ServeStatsSnapshot stats = replica.Stats();
+  EXPECT_EQ(stats.batches_cut, 2);
+  EXPECT_EQ(stats.batched_samples, 1 + max_batch);
+
+  // The two left over go together once the replica is free again.
+  EXPECT_EQ(replica.NextEventMicros(), 2500);
+  clock.Set(2500);
+  EXPECT_EQ(replica.Pump(), 2);
+  stats = replica.Stats();
+  EXPECT_EQ(stats.batches_cut, 3);
+  EXPECT_EQ(stats.batched_samples, max_batch + 3);
+
+  EXPECT_EQ(Get(first)->latency_micros, 1100);
+  for (int i = 0; i < max_batch + 2; ++i) {
+    vsd::Result<ServeResult> r = Get(futures[static_cast<size_t>(i)]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->prob_stressed, world.pipeline.PredictProbStressed(
+                                    world.dataset.samples[static_cast<size_t>(
+                                        i + 1)]));
+    const bool in_first_cut = i != 2 && i != 4;
+    const int64_t completion = in_first_cut ? 2500 : 2500 + 1000 + 2 * 100;
+    EXPECT_EQ(r->latency_micros, completion - 100 * (i + 1))
+        << "arrival " << i;
+  }
 }
 
 // ------------------------------------------------------- retry policy ----
@@ -292,7 +391,7 @@ TEST_F(ReplicaPoolTest, AlreadyExpiredDeadlineResolvesBeforeAnyAttempt) {
   RequestOptions options;
   options.deadline_micros = 500;
   ServeFuture doomed = replica.Submit(world.dataset.samples[0], options);
-  // The deadline passes before the batch delay elapses: the request must
+  // The deadline passes before the replica is pumped: the request must
   // resolve DeadlineExceeded without ever reaching the pipeline.
   clock.Advance(501);
   pool.Pump();
@@ -479,7 +578,6 @@ TEST_F(ReplicaPoolTest, ThreadedPoolUnderRealClockResolvesEverything) {
   ReplicaPool::Config config;
   config.replica.num_workers = 1;
   config.replica.max_batch = 4;
-  config.replica.max_batch_delay_micros = 500;
   ReplicaPool pool({&world.pipeline, &world.pipeline}, config);
   Router router(&pool, RouterConfig{});
 

@@ -120,7 +120,6 @@ TEST_P(ServeIdentityTest, FaultsOffServingMatchesDirectPredictBatch) {
   config.max_batch = std::get<0>(GetParam());
   config.num_workers = std::get<1>(GetParam());
   config.max_queue = static_cast<int>(samples.size());
-  config.max_batch_delay_micros = 200;
   Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
                   /*pool=*/nullptr);
 
@@ -174,7 +173,6 @@ TEST_F(ServeTest, MultiProducerIngestMatchesDirectPredictBatch) {
   ServeConfig config;
   config.max_batch = 5;
   config.num_workers = 3;
-  config.max_batch_delay_micros = 200;
   // Queue bound above the total in flight: this test is about racing
   // submission, not backpressure, so no request may be rejected.
   config.max_queue = static_cast<int>(samples.size()) * kRounds;
@@ -266,23 +264,39 @@ TEST_F(ServeTest, BackpressureRejectsBeyondBoundAndShutdownDrains) {
 }
 
 TEST_F(ServeTest, DeadlineExpiresBeforeBatchCut) {
+  // A stall holds the only worker on a first request for 200ms; a second
+  // request with a 2ms deadline waits behind it and expires before any
+  // worker is free to cut it (late expiry is fine — sanitizer slowness
+  // only makes the deadline *more* expired).
+  FaultConfig faults;
+  faults.enabled = true;
+  faults.stall_rate = 1.0;
+  faults.stall_micros = 200000;
+  FaultInjector::Global().Configure(faults);
   ModelWorld& world = ModelWorld::Shared();
   ServeConfig config;
   config.max_batch = 4;
-  // The age-based cut would fire only after 1s; the request's own 2ms
-  // deadline expires long before that (late expiry is fine — sanitizer
-  // slowness only makes the deadline *more* expired).
-  config.max_batch_delay_micros = 1000000;
   config.num_workers = 1;
   Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
                   /*pool=*/nullptr);
 
+  ServeFuture first = replica.Submit(world.dataset.samples[0], {});
+  // The worker counts the batch before it stalls on it.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (replica.Stats().batches_cut < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(replica.Stats().batches_cut, 1);
+
   RequestOptions options;
   options.deadline_micros = 2000;
-  ServeFuture future = replica.Submit(world.dataset.samples[0], options);
+  ServeFuture future = replica.Submit(world.dataset.samples[1], options);
   vsd::Result<ServeResult> result = Get(future);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(Get(first).ok());
   replica.Shutdown();
   EXPECT_EQ(replica.Stats().deadline_exceeded, 1);
 }
@@ -290,7 +304,6 @@ TEST_F(ServeTest, DeadlineExpiresBeforeBatchCut) {
 TEST_F(ServeTest, InvalidInputResolvesAsInvalidArgument) {
   ModelWorld& world = ModelWorld::Shared();
   ServeConfig config;
-  config.max_batch_delay_micros = 100;
   Replica replica(0, &world.pipeline, config, /*fallback=*/nullptr,
                   /*pool=*/nullptr);
 
@@ -361,7 +374,6 @@ TEST_F(ServeTest, FaultScheduleIsIdenticalAcrossSessionsAndThreadCounts) {
   faults.corrupt_rate = 0.05;
   faults.nan_rate = 0.05;
   ServeConfig config;
-  config.max_batch_delay_micros = 100;
   config.retry.max_retries = 2;
   config.retry.initial_backoff_micros = 100;
 
@@ -392,7 +404,6 @@ TEST_F(ServeTest, PersistentFailureWalksDegradationLadder) {
   faults.seed = 7;
   faults.transient_rate = 1.0;
   ServeConfig config;
-  config.max_batch_delay_micros = 100;
   config.retry.max_retries = 1;
   config.retry.initial_backoff_micros = 100;
   config.prior_prob = 0.7;
@@ -425,7 +436,6 @@ TEST_F(ServeTest, RetryRecoversFromTransientFaults) {
   faults.seed = 3;
   faults.transient_rate = 0.4;
   ServeConfig config;
-  config.max_batch_delay_micros = 100;
   config.retry.max_retries = 8;
   config.retry.initial_backoff_micros = 50;
 
@@ -455,7 +465,6 @@ TEST_F(ServeTest, BreakerShortCircuitsAfterConsecutiveFailures) {
 
   ModelWorld& world = ModelWorld::Shared();
   ServeConfig config;
-  config.max_batch_delay_micros = 100;
   config.retry.max_retries = 0;
   config.breaker_threshold = 1;
   config.breaker_reset_micros = 60000000;  // Stays open for the whole test.
