@@ -7,6 +7,7 @@
 #include "data/generator.h"
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
+#include "tensor/tensor.h"
 
 namespace vsd::cot {
 
@@ -40,6 +41,9 @@ void ChainTrainer::TuneDescribe(vlm::FoundationModel* model,
                                 rng->Next())
           : raw_au_data;
   nn::Adam opt(model->Parameters(), config_.describe_lr);
+  // Every step makes the same tens of MB of vision-tower tensors: reuse
+  // their buffers rather than fault fresh pages in each step.
+  tensor::StorageReuse reuse;
   for (int epoch = 0; epoch < config_.describe_epochs; ++epoch) {
     ForEachBatch(au_data.size(), config_.batch_size, rng,
                  [&](const std::vector<int>& idx) {

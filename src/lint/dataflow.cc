@@ -329,6 +329,9 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
   for (const std::string& id : initial) {
     held.push_back(HeldLock{id, "", 0, true});
   }
+  // Every guard declaration in scope, held or unlocked: what a re-lock
+  // through the guard variable acquires.
+  std::vector<HeldLock> guards;
   int depth = 0;
   for (size_t k = fn.body_open + 1; k < fn.body_close && k < toks.size();
        ++k) {
@@ -339,11 +342,13 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
     }
     if (t == "}") {
       --depth;
-      held.erase(std::remove_if(held.begin(), held.end(),
-                                [&](const HeldLock& h) {
-                                  return !h.manual && h.depth > depth;
-                                }),
+      auto out_of_scope = [&](const HeldLock& h) {
+        return !h.manual && h.depth > depth;
+      };
+      held.erase(std::remove_if(held.begin(), held.end(), out_of_scope),
                  held.end());
+      guards.erase(std::remove_if(guards.begin(), guards.end(), out_of_scope),
+                   guards.end());
       continue;
     }
     if (!IsIdent(toks[k])) continue;
@@ -370,6 +375,7 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
       // scoped_lock's own arguments acquire atomically: edges only from
       // locks already held, never among the group — so push after.
       held.insert(held.end(), newly.begin(), newly.end());
+      guards.insert(guards.end(), newly.begin(), newly.end());
       k = close;
       continue;
     }
@@ -383,14 +389,18 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
       if (chain.empty()) continue;
       const std::string id = LockId(fn, locals, chain);
       if (t == "lock" || t == "lock_shared") {
-        // Re-locking through a guard variable (defer_lock) re-acquires the
-        // guard's mutex, which is already in `held`; skip those.
-        bool is_guard = false;
-        for (const HeldLock& h : held) is_guard |= h.guard == chain;
-        if (!is_guard) {
-          if (hooks.on_acquire) hooks.on_acquire(id, toks[k].line, held);
-          held.push_back(HeldLock{id, "", depth, true});
+        // A re-lock through a guard variable (defer_lock) whose mutex is
+        // still in `held` adds nothing. After the guard's unlock() it
+        // re-acquires the guard's mutex, until the guard's scope ends.
+        bool guard_held = false;
+        for (const HeldLock& h : held) guard_held |= h.guard == chain;
+        if (guard_held) continue;
+        HeldLock acquired{id, "", depth, true};
+        for (const HeldLock& g : guards) {
+          if (g.guard == chain) acquired = g;  // The innermost declaration.
         }
+        if (hooks.on_acquire) hooks.on_acquire(acquired.id, toks[k].line, held);
+        held.push_back(acquired);
       } else {
         held.erase(std::remove_if(held.begin(), held.end(),
                                   [&](const HeldLock& h) {

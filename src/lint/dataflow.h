@@ -121,8 +121,10 @@ struct LockScanHooks {
 /// Walks `fn`'s body tracking the held set: guard declarations (popped
 /// with their brace depth), manual lock()/unlock() windows, and `initial`
 /// (VSD_REQUIRES contracts: held on entry, never popped). A re-lock
-/// through a guard variable is skipped; a re-lock of a held id by name is
-/// another acquisition and another entry.
+/// through a guard variable whose mutex is held is skipped; after the
+/// guard's unlock() it re-acquires the guard's mutex, popped with the
+/// guard's scope. A re-lock of a held id by name is another acquisition
+/// and another entry.
 void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
                        const LockScanHooks& hooks,
                        const std::set<std::string>& initial = {});

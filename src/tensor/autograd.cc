@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 #include "tensor/kernels.h"
@@ -55,23 +56,36 @@ Tensor ReduceGradToShape(const Tensor& g, const std::vector<int>& shape) {
   const int n = g.dim(0);
   const int d = g.dim(1);
   VSD_CHECK(out.size() == d) << "unsupported broadcast reduce shape";
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) out.at(j) += g.at(i, j);
+  const float* row = g.data();
+  float* sum = out.data();
+  for (int i = 0; i < n; ++i, row += d) {
+    for (int j = 0; j < d; ++j) sum[j] += row[j];
   }
   return out;
 }
 
-/// Adds `g` into the target's gradient. A same-shape `g` is added in
-/// place: the grad tensor comes from EnsureGrad and no other tensor shares
-/// its storage.
-void Accumulate(Node* target, const Tensor& g) {
+/// Adds `g` into the target's gradient.
+///
+/// The first gradient into a node is adopted when `g` holds its storage
+/// alone, as a gradient an op's backward just built does: no zero-filled
+/// grad and no pass adding `g` into it. Adding `+ 0.0f` in place first
+/// turns its -0.0f entries into +0.0f, exactly what zeros + g gave, so
+/// the bits are unchanged. A pass-through gradient (Add's, Sub's first
+/// operand's, Reshape's view) shares storage with the consumer's grad and
+/// is copied, so no two nodes' grads alias. Later gradients are added in
+/// place into the grad, which no other tensor shares.
+void Accumulate(Node* target, Tensor g) {
   if (!target->requires_grad) return;
-  Tensor& grad = target->EnsureGrad();
-  if (g.shape() == grad.shape()) {
-    grad.AddInPlace(g);
-  } else {
-    grad.AddInPlace(ReduceGradToShape(g, grad.shape()));
+  if (g.shape() != target->value.shape()) {
+    g = ReduceGradToShape(g, target->value.shape());
   }
+  if (target->grad.shape() != target->value.shape() && g.unique_storage()) {
+    float* p = g.data();
+    for (int i = 0; i < g.size(); ++i) p[i] += 0.0f;
+    target->grad = std::move(g);
+    return;
+  }
+  target->EnsureGrad().AddInPlace(g);
 }
 
 }  // namespace
@@ -177,7 +191,7 @@ Var MatMul(const Var& a, const Var& b) {
                     t::kernels::MatMulTransAInto(x.data(), self->grad.data(),
                                                  gb.data(), x.dim(0),
                                                  x.dim(1), gb.dim(1));
-                    Accumulate(bn.get(), gb);
+                    Accumulate(bn.get(), std::move(gb));
                   }
                 });
 }
@@ -186,10 +200,11 @@ Var Relu(const Var& a) {
   auto an = a.node();
   return MakeOp(t::Relu(a.value()), {an}, [an](Node* self) {
     Tensor g(self->grad.shape());
-    for (int i = 0; i < g.size(); ++i) {
-      g.at(i) = an->value.at(i) > 0.0f ? self->grad.at(i) : 0.0f;
-    }
-    Accumulate(an.get(), g);
+    const float* x = an->value.data();
+    const float* dy = self->grad.data();
+    float* dx = g.data();
+    for (int i = 0; i < g.size(); ++i) dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -202,7 +217,7 @@ Var TanhV(const Var& a) {
       const float yi = self->value.at(i);
       g.at(i) = self->grad.at(i) * (1.0f - yi * yi);
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -215,7 +230,7 @@ Var SigmoidV(const Var& a) {
       const float yi = self->value.at(i);
       g.at(i) = self->grad.at(i) * yi * (1.0f - yi);
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -227,7 +242,7 @@ Var ExpV(const Var& a) {
     for (int i = 0; i < g.size(); ++i) {
       g.at(i) = self->grad.at(i) * self->value.at(i);
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -242,7 +257,7 @@ Var LogV(const Var& a) {
     for (int i = 0; i < g.size(); ++i) {
       g.at(i) = self->grad.at(i) / std::max(an->value.at(i), 1e-12f);
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -262,7 +277,7 @@ Var Gelu(const Var& a) {
       const float dy = 0.5f * (1.0f + th) + 0.5f * x * sech2 * dinner;
       g.at(i) = self->grad.at(i) * dy;
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -284,24 +299,23 @@ Var Concat(const Var& a, const Var& b) {
       for (int i = 0; i < n; ++i) {
         for (int j = 0; j < da; ++j) ga.at(i, j) = self->grad.at(i, j);
       }
-      Accumulate(an.get(), ga);
+      Accumulate(an.get(), std::move(ga));
     }
     if (bn->requires_grad) {
       Tensor gb({n, db});
       for (int i = 0; i < n; ++i) {
         for (int j = 0; j < db; ++j) gb.at(i, j) = self->grad.at(i, da + j);
       }
-      Accumulate(bn.get(), gb);
+      Accumulate(bn.get(), std::move(gb));
     }
   });
 }
 
 Var Reshape(const Var& a, std::vector<int> shape) {
   auto an = a.node();
-  Tensor y = a.value().Reshape(shape);
-  // Clone to keep node values independent (Reshape shares storage, which is
-  // fine for the forward value but the backward must not alias grads).
-  return MakeOp(y.Clone(), {an}, [an](Node* self) {
+  // The value is a view of the input's; the gradient view below shares
+  // the reshape's grad, so Accumulate copies it into the input's own.
+  return MakeOp(a.value().Reshape(std::move(shape)), {an}, [an](Node* self) {
     Accumulate(an.get(), self->grad.Reshape(an->value.shape()));
   });
 }
@@ -313,7 +327,7 @@ Var SumAll(const Var& a) {
   return MakeOp(y, {an}, [an](Node* self) {
     Tensor g(an->value.shape());
     g.Fill(self->grad.at(0));
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -345,7 +359,7 @@ Var SoftmaxCrossEntropy(const Var& logits, const std::vector<int>& labels) {
         g.at(i, j) = scale * (probs.at(i, j) - onehot);
       }
     }
-    Accumulate(ln.get(), g);
+    Accumulate(ln.get(), std::move(g));
   });
 }
 
@@ -370,7 +384,7 @@ Var BceWithLogits(const Var& logits, const std::vector<float>& targets) {
           1.0 / (1.0 + std::exp(-static_cast<double>(ln->value.at(i)))));
       g.at(i) = scale * (p - targets[i]);
     }
-    Accumulate(ln.get(), g);
+    Accumulate(ln.get(), std::move(g));
   });
 }
 
@@ -395,7 +409,7 @@ Var LogSoftmaxRows(const Var& logits) {
         g.at(i, j) = self->grad.at(i, j) - probs.at(i, j) * grow;
       }
     }
-    Accumulate(ln.get(), g);
+    Accumulate(ln.get(), std::move(g));
   });
 }
 
@@ -423,7 +437,7 @@ Var Div(const Var& a, const Var& b) {
           ga.at(i) = self->grad.at(i) / bn->value.at(i);
         }
       }
-      Accumulate(an.get(), ga);
+      Accumulate(an.get(), std::move(ga));
     }
     if (bn->requires_grad) {
       // d/db (a/b) = -a / b^2.
@@ -432,7 +446,7 @@ Var Div(const Var& a, const Var& b) {
         const float bv = scalar_b ? bn->value.at(0) : bn->value.at(i);
         gb.at(i) = -self->grad.at(i) * an->value.at(i) / (bv * bv);
       }
-      Accumulate(bn.get(), gb);
+      Accumulate(bn.get(), std::move(gb));
     }
   });
 }
@@ -449,7 +463,7 @@ Var SqrtV(const Var& a) {
       g.at(i) = self->grad.at(i) * 0.5f / std::max(self->value.at(i),
                                                    1e-6f);
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -464,7 +478,7 @@ Var AbsV(const Var& a) {
       g.at(i) = x > 0.0f ? self->grad.at(i)
                          : (x < 0.0f ? -self->grad.at(i) : 0.0f);
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -481,7 +495,7 @@ Var ClampV(const Var& a, float lo, float hi) {
       const float x = an->value.at(i);
       g.at(i) = (x > lo && x < hi) ? self->grad.at(i) : 0.0f;
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -535,7 +549,7 @@ Var Im2Col(const Var& x, int kh, int kw, int stride, int pad) {
                       }
                     }
                   }
-                  Accumulate(xn.get(), g);
+                  Accumulate(xn.get(), std::move(g));
                 });
 }
 
@@ -556,7 +570,7 @@ Var SoftmaxRowsV(const Var& logits) {
         g.at(i, j) = self->value.at(i, j) * (self->grad.at(i, j) - dot);
       }
     }
-    Accumulate(ln.get(), g);
+    Accumulate(ln.get(), std::move(g));
   });
 }
 
@@ -598,7 +612,7 @@ Var LayerNormRows(const Var& x, const Var& gamma, const Var& beta,
         for (int i = 0; i < n; ++i) s += self->grad.at(i, j) * xhat.at(i, j);
         gg.at(j) = s;
       }
-      Accumulate(gn.get(), gg);
+      Accumulate(gn.get(), std::move(gg));
     }
     if (bn->requires_grad) {
       Tensor gb({d});
@@ -607,7 +621,7 @@ Var LayerNormRows(const Var& x, const Var& gamma, const Var& beta,
         for (int i = 0; i < n; ++i) s += self->grad.at(i, j);
         gb.at(j) = s;
       }
-      Accumulate(bn.get(), gb);
+      Accumulate(bn.get(), std::move(gb));
     }
     if (xn->requires_grad) {
       Tensor gx({n, d});
@@ -628,7 +642,7 @@ Var LayerNormRows(const Var& x, const Var& gamma, const Var& beta,
                                      static_cast<float>(d));
         }
       }
-      Accumulate(xn.get(), gx);
+      Accumulate(xn.get(), std::move(gx));
     }
   });
 }
@@ -648,7 +662,7 @@ Var Softplus(const Var& a) {
           1.0 / (1.0 + std::exp(-static_cast<double>(x))));
       g.at(i) = self->grad.at(i) * sig;
     }
-    Accumulate(an.get(), g);
+    Accumulate(an.get(), std::move(g));
   });
 }
 
@@ -673,7 +687,7 @@ Var MulColumn(const Var& x, const Var& col) {
         const float c = cn->value.at(i, 0);
         for (int j = 0; j < d; ++j) gx.at(i, j) = self->grad.at(i, j) * c;
       }
-      Accumulate(xn.get(), gx);
+      Accumulate(xn.get(), std::move(gx));
     }
     if (cn->requires_grad) {
       Tensor gc({n, 1});
@@ -684,7 +698,7 @@ Var MulColumn(const Var& x, const Var& col) {
         }
         gc.at(i, 0) = s;
       }
-      Accumulate(cn.get(), gc);
+      Accumulate(cn.get(), std::move(gc));
     }
   });
 }
@@ -705,7 +719,7 @@ Var RowSum(const Var& x) {
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < d; ++j) g.at(i, j) = self->grad.at(i, 0);
     }
-    Accumulate(xn.get(), g);
+    Accumulate(xn.get(), std::move(g));
   });
 }
 
@@ -727,7 +741,7 @@ Var MeanRows(const Var& x) {
         g.at(i, j) = self->grad.at(0, j) / static_cast<float>(n);
       }
     }
-    Accumulate(xn.get(), g);
+    Accumulate(xn.get(), std::move(g));
   });
 }
 

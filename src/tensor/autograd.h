@@ -14,7 +14,10 @@ using ::vsd::tensor::Tensor;
 /// One vertex of the dynamically built computation graph.
 struct Node {
   Tensor value;
-  Tensor grad;  ///< Allocated lazily; same shape as `value`.
+  /// Same shape as `value`; made lazily: adopted from the first gradient
+  /// an op's backward builds for this node, or zeros from EnsureGrad.
+  /// Never shares storage with another node's grad.
+  Tensor grad;
   bool requires_grad = false;
   std::vector<std::shared_ptr<Node>> parents;
   /// Reads `self->grad` and accumulates into the parents' grads. Unset for
@@ -80,7 +83,8 @@ Var Gelu(const Var& a);
 /// Concatenates 2-D tensors [N,D1] and [N,D2] along axis 1.
 Var Concat(const Var& a, const Var& b);
 
-/// View with a new shape (shares storage; gradient is reshaped back).
+/// View with a new shape: the value shares `a`'s storage. The gradient is
+/// reshaped back and copied into `a`'s grad, which it never aliases.
 Var Reshape(const Var& a, std::vector<int> shape);
 
 /// Sum of all elements -> scalar [1].

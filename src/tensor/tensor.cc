@@ -21,14 +21,58 @@ int ShapeProduct(const std::vector<int>& shape) {
   return n;
 }
 
+/// The innermost live StorageReuse on this thread. A plain pointer, so it
+/// is still readable while the thread's other thread_locals are destroyed.
+thread_local StorageReuse* t_active_scope = nullptr;
+
 }  // namespace
+
+StorageReuse::StorageReuse() : outer_(t_active_scope) {
+  t_active_scope = this;
+}
+
+StorageReuse::~StorageReuse() {
+  VSD_CHECK(t_active_scope == this) << "StorageReuse scopes must nest";
+  t_active_scope = outer_;
+}
+
+std::shared_ptr<std::vector<float>> StorageReuse::NewStorage(
+    size_t size, const float* src) {
+  StorageReuse* scope = t_active_scope;
+  if (scope == nullptr || size < kMinFloats) {
+    return src == nullptr
+               ? std::make_shared<std::vector<float>>(size, 0.0f)
+               : std::make_shared<std::vector<float>>(src, src + size);
+  }
+  auto* buffer = new std::vector<float>();
+  auto best = scope->cache_.lower_bound(size);
+  if (best != scope->cache_.end()) {
+    *buffer = std::move(best->second);
+    scope->cache_.erase(best);
+  }
+  // Within capacity, assign writes the elements and allocates nothing.
+  if (src == nullptr) {
+    buffer->assign(size, 0.0f);
+  } else {
+    buffer->assign(src, src + size);
+  }
+  return std::shared_ptr<std::vector<float>>(buffer, &StorageReuse::Release);
+}
+
+void StorageReuse::Release(std::vector<float>* buffer) {
+  StorageReuse* scope = t_active_scope;
+  if (scope != nullptr && buffer->capacity() >= kMinFloats) {
+    scope->cache_.emplace(buffer->capacity(), std::move(*buffer));
+  }
+  delete buffer;
+}
 
 Tensor::Tensor() : data_(std::make_shared<std::vector<float>>()) {}
 
 Tensor::Tensor(std::vector<int> shape)
     : shape_(std::move(shape)),
       size_(ShapeProduct(shape_)),
-      data_(std::make_shared<std::vector<float>>(size_, 0.0f)) {}
+      data_(StorageReuse::NewStorage(size_, nullptr)) {}
 
 Tensor Tensor::Zeros(std::vector<int> shape) {
   return Tensor(std::move(shape));
@@ -144,7 +188,7 @@ Tensor Tensor::Clone() const {
   if (dtype_ == DType::kI8) {
     t.qstore_ = std::make_shared<const QuantStorage>(*qstore_);
   } else {
-    t.data_ = std::make_shared<std::vector<float>>(*data_);
+    t.data_ = StorageReuse::NewStorage(size_, data_->data());
   }
   return t;
 }
@@ -174,7 +218,9 @@ void Tensor::Fill(float value) {
 
 void Tensor::AddInPlace(const Tensor& other) {
   VSD_CHECK(SameShape(*this, other)) << "AddInPlace shape mismatch";
-  for (int i = 0; i < size_; ++i) (*data_)[i] += other.at(i);
+  float* dst = data_->data();
+  const float* src = other.data();
+  for (int i = 0; i < size_; ++i) dst[i] += src[i];
 }
 
 void Tensor::ScaleInPlace(float s) {

@@ -1,7 +1,9 @@
 #ifndef VSD_TENSOR_TENSOR_H_
 #define VSD_TENSOR_TENSOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -114,6 +116,9 @@ class Tensor {
   /// Flat std::vector copy of the contents.
   std::vector<float> ToVector() const;
 
+  /// True when no other tensor shares this tensor's float storage.
+  bool unique_storage() const { return data_.use_count() == 1; }
+
   /// "Tensor[2x3]{...}" debugging aid (truncated for large tensors).
   std::string ToString() const;
 
@@ -131,6 +136,51 @@ class Tensor {
   DType dtype_ = DType::kF32;
   std::shared_ptr<std::vector<float>> data_;
   std::shared_ptr<const QuantStorage> qstore_;
+};
+
+/// \brief Reuses the large float buffers of one thread's tensors within a
+/// loop (RAII).
+///
+/// A training step makes the same tensors every step, tens of MB of them;
+/// freed, glibc returns those pages to the OS and the next step faults
+/// them in again. While a scope is the innermost one alive on a thread:
+/// - each tensor of at least `kMinFloats` floats made on that thread takes
+///   the smallest cached buffer that fits, re-zeroed (`Clone` copies into
+///   it instead), or a new one;
+/// - the storage of such a tensor goes into the cache, not back to the
+///   allocator, when its last handle is released on that thread.
+/// The scope frees its cache when it ends.
+///
+/// Values cannot change: a reused buffer reads like a fresh one. Storage
+/// released on another thread, after every scope ended or at thread exit
+/// is plain freed, and outside every scope allocation is exactly as
+/// without one.
+class StorageReuse {
+ public:
+  /// 64 KB. glibc recycles smaller buffers cheaply: it neither mmaps
+  /// them nor, mostly, trims them.
+  static constexpr size_t kMinFloats = 16384;
+
+  StorageReuse();
+  ~StorageReuse();
+  StorageReuse(const StorageReuse&) = delete;
+  StorageReuse& operator=(const StorageReuse&) = delete;
+
+  /// Number of buffers the cache holds now.
+  size_t cached() const { return cache_.size(); }
+
+ private:
+  friend class Tensor;
+
+  /// Storage of `size` floats: a copy of `src`, or zeros when `src` is
+  /// null.
+  static std::shared_ptr<std::vector<float>> NewStorage(size_t size,
+                                                        const float* src);
+  /// The deleter of storage made inside a scope.
+  static void Release(std::vector<float>* buffer);
+
+  std::multimap<size_t, std::vector<float>> cache_;  ///< By capacity.
+  StorageReuse* outer_;
 };
 
 /// True when shapes are identical.

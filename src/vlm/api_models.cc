@@ -4,6 +4,7 @@
 #include "data/generator.h"
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
+#include "tensor/tensor.h"
 #include "vlm/quantize.h"
 
 namespace vsd::vlm {
@@ -90,9 +91,12 @@ void PretrainGeneralist(FoundationModel* model, const ApiModelSpec& spec,
     }
   }
 
-  // Stage 1: describe instruction tuning, vision tower unfrozen.
+  // Stage 1: describe instruction tuning, vision tower unfrozen. Its steps
+  // reuse one another's large tensor buffers instead of faulting in fresh
+  // pages each step.
   {
     nn::Adam opt(model->Parameters(), /*lr=*/2e-3f);
+    tensor::StorageReuse reuse;
     const int batch_size = 32;
     std::vector<int> order(corpus.size());
     for (int i = 0; i < corpus.size(); ++i) order[i] = i;

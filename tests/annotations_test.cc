@@ -213,6 +213,37 @@ TEST(CheckGuardedByTest, NamedRelockOutlivesItsGuardScope) {
   EXPECT_EQ(findings[0].line, 11);
 }
 
+// A deferred guard unlocked and re-locked through its own variable holds
+// its mutex again after the re-lock, until the guard's scope ends.
+TEST(CheckGuardedByTest, DeferredGuardRelockHoldsItsMutex) {
+  DataflowProgram program;
+  program.AddFile("src/x/c.cc", Lex(R"cc(
+    class Box {
+     public:
+      void Deferred() {
+        {
+          std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+          lock.lock();
+          value_ = 1;
+          lock.unlock();
+          Work();
+          lock.lock();
+          value_ = 5;
+        }
+        value_ = 7;
+      }
+
+     private:
+      std::mutex mu_;
+      int value_ VSD_GUARDED_BY(mu_) = 0;
+    };
+  )cc"));
+  const AnnotationIndex index = BuildAnnotationIndex(program);
+  const std::vector<Finding> findings = CheckGuardedBy(program, index);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 14);
+}
+
 TEST(CheckUnannotatedMutexTest, OnlySrcClassesWithZeroGuardedFieldsFlag) {
   DataflowProgram program;
   program.AddFile("src/x/c.cc", Lex(R"cc(

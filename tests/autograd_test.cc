@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -517,6 +518,56 @@ TEST(AutogradTest, DeepChainGradient) {
   for (int i = 0; i < 2000; ++i) h = Scale(h, 1.0f);
   Backward(h);
   EXPECT_NEAR(x.grad().at(0), 1.0f, 1e-5f);
+}
+
+/// A float's bits, so that +0.0f and -0.0f differ.
+uint32_t Bits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// A node's first gradient is adopted, not added into zeros, and must
+// still read what 0.0f + g gave: +0.0f where g holds -0.0f.
+TEST(AutogradTest, AdoptedFirstGradientReadsPositiveZero) {
+  Var x(Tensor::FromVector({3}, {1.0f, 2.0f, 3.0f}), /*requires_grad=*/true);
+  Var mask(Tensor::FromVector({3}, {0.0f, 1.0f, 0.0f}));
+  // Scale's backward hands x the gradient {-0.0f, -1.0f, -0.0f}.
+  Backward(SumAll(Mul(Scale(x, -1.0f), mask)));
+  EXPECT_EQ(Bits(x.grad().at(0)), Bits(0.0f));
+  EXPECT_EQ(x.grad().at(1), -1.0f);
+  EXPECT_EQ(Bits(x.grad().at(2)), Bits(0.0f));
+}
+
+TEST(AutogradTest, TwoConsumersGetZerosPlusTwoAddsBitForBit) {
+  Rng rng(5);
+  Tensor c1 = Tensor::Randn({64}, &rng);
+  Tensor c2 = Tensor::Randn({64}, &rng);
+  c1.at(0) = -0.0f;  // Both gradients -0.0f: zeros + g1 + g2 is +0.0f.
+  c2.at(0) = -0.0f;
+  c2.at(1) = -0.0f;
+  Var x(Tensor::Randn({64}, &rng), /*requires_grad=*/true);
+  Backward(SumAll(Add(Mul(x, Var(c1)), Mul(x, Var(c2)))));
+  ASSERT_EQ(x.grad().size(), 64);
+  for (int i = 0; i < 64; ++i) {
+    float expected = 0.0f;
+    expected += c2.at(i);  // The later consumer's backward runs first.
+    expected += c1.at(i);
+    EXPECT_EQ(Bits(x.grad().at(i)), Bits(expected)) << "at " << i;
+  }
+}
+
+TEST(AutogradTest, ReshapeSharesItsValueButNotItsGrad) {
+  Rng rng(6);
+  Var x(Tensor::Randn({2, 3}, &rng), /*requires_grad=*/true);
+  Var r = Reshape(x, {3, 2});
+  EXPECT_EQ(r.value().data(), x.value().data());
+  Tensor w = Tensor::Randn({3, 2}, &rng);
+  Backward(SumAll(Mul(r, Var(w))));
+  ASSERT_EQ(x.grad().shape(), x.value().shape());
+  ASSERT_EQ(r.grad().size(), 6);
+  EXPECT_NE(x.grad().data(), r.grad().data());
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(x.grad().at(i), w.at(i));
 }
 
 }  // namespace

@@ -210,6 +210,25 @@ TEST(LockGraphTest, ManualUnlockReleasesTheLock) {
   EXPECT_EQ(graph.edges[0].to, "x.cc::b");
 }
 
+TEST(LockGraphTest, DeferredGuardRelockAcquiresItsMutex) {
+  DataflowProgram program;
+  program.AddFile("x.cc", Lex(R"cc(
+    std::mutex a;
+    std::mutex b;
+    void Relock() {
+      std::unique_lock<std::mutex> lock(a);
+      lock.unlock();
+      lock.lock();
+      std::lock_guard<std::mutex> gb(b);
+    }
+  )cc"));
+  const LockGraph graph = BuildLockGraph(program);
+  EXPECT_EQ(graph.nodes.size(), 2u);
+  ASSERT_EQ(graph.edges.size(), 1u);
+  EXPECT_EQ(graph.edges[0].from, "x.cc::a");
+  EXPECT_EQ(graph.edges[0].to, "x.cc::b");
+}
+
 TEST(LockGraphTest, AcquisitionInACalleeLinksOneLevelDeep) {
   DataflowProgram program;
   program.AddFile("x.cc", Lex(R"cc(

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -252,6 +255,49 @@ TEST(ConvTrainingTest, LearnsToDetectBrightQuadrant)  {
   int correct = 0;
   for (int i = 0; i < 64; ++i) correct += (pred[i] == ys[i]);
   EXPECT_GE(correct, 58);
+}
+
+/// Weights of a small conv net after three Adam steps on fixed data, with
+/// or without a StorageReuse scope around the steps.
+std::vector<float> ConvNetWeightsAfterThreeSteps(bool reuse_storage) {
+  Rng rng(11);
+  Conv2d conv(1, 8, /*kernel=*/5, /*stride=*/2, /*pad=*/2, &rng);
+  Linear head(16 * 16 * 8, 4, &rng);
+  std::vector<Var> params = conv.Parameters();
+  for (const Var& p : head.Parameters()) params.push_back(p);
+  Adam opt(params, 1e-2f);
+  // 16 images of 32x32: the im2col patches alone are 400 KB.
+  const Tensor images = Tensor::Randn({16, 32, 32, 1}, &rng);
+  const Tensor target = Tensor::Randn({16, 4}, &rng);
+  std::unique_ptr<tensor::StorageReuse> scope;
+  if (reuse_storage) scope = std::make_unique<tensor::StorageReuse>();
+  for (int step = 0; step < 3; ++step) {
+    Var h = ag::Relu(conv.Forward(Var(images)));
+    Var out = head.Forward(ag::Reshape(h, {16, 16 * 16 * 8}));
+    Var diff = ag::Sub(out, Var(target));
+    Var loss = ag::MeanAll(ag::Mul(diff, diff));
+    opt.ZeroGrad();
+    ag::Backward(loss);
+    opt.Step();
+  }
+  if (reuse_storage) {
+    EXPECT_GT(scope->cached(), 0u);
+  }
+  std::vector<float> weights;
+  for (const Var& p : params) {
+    const std::vector<float> v = p.value().ToVector();
+    weights.insert(weights.end(), v.begin(), v.end());
+  }
+  return weights;
+}
+
+TEST(StorageReuseTrainingTest, ConvStepsInAScopeMatchBitForBit) {
+  const std::vector<float> plain = ConvNetWeightsAfterThreeSteps(false);
+  const std::vector<float> reused = ConvNetWeightsAfterThreeSteps(true);
+  ASSERT_EQ(plain.size(), reused.size());
+  EXPECT_EQ(std::memcmp(plain.data(), reused.data(),
+                        plain.size() * sizeof(float)),
+            0);
 }
 
 }  // namespace

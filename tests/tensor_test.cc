@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace vsd::tensor {
 namespace {
@@ -202,6 +209,120 @@ TEST(TensorOpsTest, AddInPlaceAndScaleInPlace) {
 TEST(TensorTest, ToStringMentionsShape) {
   Tensor a({2, 3});
   EXPECT_NE(a.ToString().find("2x3"), std::string::npos);
+}
+
+// ---- StorageReuse ----
+
+constexpr int kLarge = static_cast<int>(StorageReuse::kMinFloats);
+
+/// True when every element is +0.0f, bit for bit.
+bool AllPositiveZeroBits(const Tensor& t) {
+  for (int i = 0; i < t.size(); ++i) {
+    uint32_t bits;
+    const float x = t.at(i);
+    std::memcpy(&bits, &x, sizeof(bits));
+    if (bits != 0u) return false;
+  }
+  return true;
+}
+
+TEST(StorageReuseTest, SameSizeTensorGetsTheReleasedBufferZeroed) {
+  StorageReuse reuse;
+  Tensor a({kLarge});
+  a.Fill(-0.0f);
+  a.at(7) = 3.5f;
+  const float* buffer = a.data();
+  a = Tensor();
+  EXPECT_EQ(reuse.cached(), 1u);
+  Tensor b({kLarge});
+  EXPECT_EQ(b.data(), buffer);
+  EXPECT_EQ(reuse.cached(), 0u);
+  EXPECT_TRUE(AllPositiveZeroBits(b));
+}
+
+TEST(StorageReuseTest, SmallerLargeTensorTakesTheSmallestBufferThatFits) {
+  StorageReuse reuse;
+  Tensor biggest({3 * kLarge});
+  Tensor bigger({2 * kLarge});
+  bigger.Fill(1.0f);
+  const float* buffer = bigger.data();
+  biggest = Tensor();
+  bigger = Tensor();
+  ASSERT_EQ(reuse.cached(), 2u);
+  Tensor t({kLarge + 1});
+  EXPECT_EQ(t.data(), buffer);
+  EXPECT_EQ(t.size(), kLarge + 1);
+  EXPECT_TRUE(AllPositiveZeroBits(t));
+  EXPECT_EQ(reuse.cached(), 1u);
+}
+
+TEST(StorageReuseTest, CloneTakesACachedBufferAndCopies) {
+  StorageReuse reuse;
+  Tensor src = Tensor::Full({kLarge}, 2.0f);
+  { Tensor dropped({kLarge}); }
+  ASSERT_EQ(reuse.cached(), 1u);
+  Tensor copy = src.Clone();
+  EXPECT_EQ(reuse.cached(), 0u);
+  EXPECT_NE(copy.data(), src.data());
+  EXPECT_EQ(copy.at(kLarge - 1), 2.0f);
+}
+
+TEST(StorageReuseTest, BufferReleasedAfterTheScopeEndsIsNotHandedOut) {
+  Tensor kept;
+  {
+    StorageReuse reuse;
+    kept = Tensor({kLarge});
+    Tensor dropped({kLarge});
+  }  // `dropped`'s buffer was cached and is freed with the scope.
+  StorageReuse later;
+  EXPECT_EQ(later.cached(), 0u);
+  {
+    StorageReuse inner;
+    kept = Tensor();  // Released into the innermost live scope.
+    EXPECT_EQ(inner.cached(), 1u);
+    EXPECT_EQ(later.cached(), 0u);
+  }
+  EXPECT_EQ(later.cached(), 0u);
+  Tensor made_in_later({kLarge});
+  made_in_later = Tensor();
+  EXPECT_EQ(later.cached(), 1u);
+}
+
+TEST(StorageReuseTest, ReleaseOnAParallelForWorkerStaysOutOfTheCache) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  StorageReuse reuse;
+  std::vector<Tensor> tensors = {Tensor({kLarge}), Tensor({kLarge})};
+  std::atomic<int> caller_releases{0};
+  std::atomic<int> worker_releases{0};
+  pool.ParallelFor(2, [&](int64_t i) {
+    if (std::this_thread::get_id() != caller) {
+      tensors[i] = Tensor();
+      worker_releases.fetch_add(1);
+      return;
+    }
+    // Hold the caller's index until a worker has taken the other one.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (worker_releases.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    tensors[i] = Tensor();
+    caller_releases.fetch_add(1);
+  });
+  ASSERT_GE(worker_releases.load(), 1);
+  EXPECT_EQ(reuse.cached(), static_cast<size_t>(caller_releases.load()));
+}
+
+TEST(StorageReuseTest, TensorsUnderTheThresholdNeverEnterTheCache) {
+  StorageReuse reuse;
+  { Tensor small({kLarge - 1}); }
+  EXPECT_EQ(reuse.cached(), 0u);
+  { Tensor large({kLarge}); }
+  ASSERT_EQ(reuse.cached(), 1u);
+  Tensor small({kLarge - 1});
+  EXPECT_EQ(reuse.cached(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "common/rng.h"
 #include "data/generator.h"
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
+#include "tensor/tensor.h"
 #include "text/instructions.h"
 #include "text/templates.h"
 #include "vlm/api_models.h"
@@ -225,6 +228,42 @@ TEST_F(VlmTest, DescribeLossDecreasesWithTraining) {
   const float trained =
       model.DescribeLoss(batch, targets, true).value().at(0);
   EXPECT_LT(trained, initial * 0.7f);
+}
+
+/// The model's weights after three describe steps at batch 32 with the
+/// vision tower unfrozen, as ChainTrainer::TuneDescribe takes them, with or
+/// without a StorageReuse scope around the steps.
+std::vector<float> WeightsAfterThreeDescribeSteps(bool reuse_storage) {
+  FoundationModel model(SmallConfig(13));
+  const data::Dataset au_data = data::MakeDisfaSim(6, 32);
+  std::vector<const data::VideoSample*> batch;
+  std::vector<AuMask> targets;
+  for (const auto& sample : au_data.samples) {
+    batch.push_back(&sample);
+    targets.push_back(sample.au_label);
+  }
+  nn::Adam opt(model.Parameters(), 2e-3f);
+  std::unique_ptr<tensor::StorageReuse> scope;
+  if (reuse_storage) scope = std::make_unique<tensor::StorageReuse>();
+  for (int step = 0; step < 3; ++step) {
+    nn::Var loss = model.DescribeLoss(batch, targets, /*train_vision=*/true);
+    opt.ZeroGrad();
+    ag::Backward(loss);
+    opt.Step();
+  }
+  if (reuse_storage) {
+    EXPECT_GT(scope->cached(), 0u);
+  }
+  return model.StateVector();
+}
+
+TEST(StorageReuseTrainingTest, DescribeStepsInAScopeMatchBitForBit) {
+  const std::vector<float> plain = WeightsAfterThreeDescribeSteps(false);
+  const std::vector<float> reused = WeightsAfterThreeDescribeSteps(true);
+  ASSERT_EQ(plain.size(), reused.size());
+  EXPECT_EQ(std::memcmp(plain.data(), reused.data(),
+                        plain.size() * sizeof(float)),
+            0);
 }
 
 TEST_F(VlmTest, DpoDescribeLossMovesPolicyTowardWinners) {
