@@ -256,8 +256,9 @@ std::vector<Finding> CheckNondetTaint(const std::string& path,
 /// The hot-path-alloc rule: heap allocations (new, make_unique/make_shared,
 /// growing container calls, string growth) inside GraphExecutor::Execute
 /// and its one-level resolved callees, inside any function in
-/// src/tensor/kernels.*, or inside ParallelFor/ParallelMap call extents in
-/// src/explain/ files.
+/// src/tensor/kernels* (the entry points and the backend files beside
+/// them), or inside ParallelFor/ParallelMap call extents in src/explain/
+/// files.
 std::vector<Finding> CheckHotPathAlloc(const DataflowProgram& program);
 
 }  // namespace vsd::lint

@@ -164,6 +164,8 @@ int GraphBuilder::Concat(int a, int b) {
 int GraphBuilder::Im2Col(int x, int kh, int kw, int stride, int pad) {
   const OpNode& xv = F32Operand(x);
   VSD_CHECK(xv.shape.size() == 4) << "graph Im2Col requires [N,H,W,C]";
+  VSD_CHECK(kh <= xv.shape[1] + 2 * pad && kw <= xv.shape[2] + 2 * pad)
+      << "graph Im2Col window larger than the padded image";
   const int oh = autograd::ConvOutDim(xv.shape[1], kh, stride, pad);
   const int ow = autograd::ConvOutDim(xv.shape[2], kw, stride, pad);
   VSD_CHECK(oh > 0 && ow > 0) << "graph Im2Col degenerate output";
@@ -175,6 +177,8 @@ int GraphBuilder::Im2Col(int x, int kh, int kw, int stride, int pad) {
   node.kw = kw;
   node.stride = stride;
   node.pad = pad;
+  node.scratch =
+      k::Im2ColPlaneSize(xv.shape[1], xv.shape[2], xv.shape[3], pad);
   return Append(std::move(node));
 }
 
@@ -237,13 +241,26 @@ CompiledGraph::CompiledGraph(GraphBuilder builder, int output)
   VSD_CHECK(out_buf >= 0) << "graph output has no buffer";
   // The caller reads the output after Execute returns.
   requests[out_buf].last_use = n;
+  // Scratch lives only while its op runs, so it never overlaps the op's
+  // operands or output, and later steps reuse its bytes.
+  std::vector<int> scratch_buffer(n, -1);
+  for (int id = 0; id < n; ++id) {
+    if (nodes_[id].scratch == 0) continue;
+    scratch_buffer[id] = static_cast<int>(requests.size());
+    requests.push_back(BufferRequest{
+        static_cast<size_t>(nodes_[id].scratch) * sizeof(float), id, id});
+  }
 
   const ArenaPlan plan = PlanBufferLifetimes(requests);
   arena_bytes_ = plan.arena_size;
   node_offset_.assign(n, 0);
+  scratch_offset_.assign(n, 0);
   for (int id = 0; id < n; ++id) {
     if (node_buffer[id] >= 0) {
       node_offset_[id] = plan.offsets[node_buffer[id]];
+    }
+    if (scratch_buffer[id] >= 0) {
+      scratch_offset_[id] = plan.offsets[scratch_buffer[id]];
     }
   }
 }
@@ -337,7 +354,7 @@ void GraphExecutor::Execute() {
         const OpNode& x = nodes[node.a];
         k::Im2ColInto(NodeData(node.a), out, x.shape[0], x.shape[1],
                       x.shape[2], x.shape[3], node.kh, node.kw, node.stride,
-                      node.pad);
+                      node.pad, ArenaAt(graph_->scratch_offset_[id]));
         break;
       }
       case OpKind::kInput:

@@ -68,6 +68,9 @@ struct OpNode {
   int a = -1;              ///< First operand node id (-1 if none).
   int b = -1;              ///< Second operand node id (-1 if none).
   int kh = 0, kw = 0, stride = 0, pad = 0;  ///< kIm2Col parameters.
+  /// Floats of scratch the op needs while it runs (kIm2Col's plane). The
+  /// plan gives it arena bytes live at this node's step alone.
+  int scratch = 0;
   /// kWeight only: handle to the parameter node. The executor reads
   /// `weight.value().data()` on every Execute, so in-place optimizer
   /// updates are visible without recompiling.
@@ -137,6 +140,8 @@ class CompiledGraph {
   std::vector<int> inputs_;
   int output_;
   std::vector<size_t> node_offset_;  ///< Arena offset (bytes) per node.
+  /// Arena offset (bytes) of each node's scratch (0 when it has none).
+  std::vector<size_t> scratch_offset_;
   size_t arena_bytes_ = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "tensor/kernels.h"
@@ -509,48 +510,56 @@ Var Im2Col(const Var& x, int kh, int kw, int stride, int pad) {
   const int h = x.value().dim(1);
   const int w = x.value().dim(2);
   const int c = x.value().dim(3);
+  VSD_CHECK(kh <= h + 2 * pad && kw <= w + 2 * pad)
+      << "Im2Col window larger than the padded image";
   const int oh = ConvOutDim(h, kh, stride, pad);
   const int ow = ConvOutDim(w, kw, stride, pad);
   VSD_CHECK(oh > 0 && ow > 0) << "Im2Col degenerate output";
   Tensor cols({n * oh * ow, kh * kw * c});
+  const int plane_size = t::kernels::Im2ColPlaneSize(h, w, c, pad);
+  std::vector<float> plane(plane_size);
   t::kernels::Im2ColInto(x.value().data(), cols.data(), n, h, w, c, kh, kw,
-                         stride, pad);
+                         stride, pad, plane.data());
   auto xn = x.node();
-  return MakeOp(cols, {xn},
-                [xn, n, c, h, w, oh, ow, kh, kw, stride, pad](Node* self) {
-                  if (!xn->requires_grad) return;
-                  // col2im: `col` walks the patch gradients in (row, col)
-                  // order; each kernel row adds its in-bounds taps, one
-                  // contiguous NHWC run, into the pixels they were read
-                  // from (the [lo, hi) split of simd::Im2ColInto).
-                  Tensor g({n, h, w, c});
-                  const float* col = self->grad.data();
-                  for (int b = 0; b < n; ++b) {
-                    float* image =
-                        g.data() + static_cast<long long>(b) * h * w * c;
-                    for (int oy = 0; oy < oh; ++oy) {
-                      for (int ox = 0; ox < ow; ++ox) {
-                        const int ix = ox * stride - pad;
-                        const int lo = std::clamp(-ix, 0, kw);
-                        const int hi = std::clamp(w - ix, lo, kw);
-                        for (int ky = 0; ky < kh;
-                             ++ky, col += static_cast<long long>(kw) * c) {
-                          const int iy = oy * stride + ky - pad;
-                          if (iy < 0 || iy >= h || lo == hi) continue;
-                          float* px =
-                              image +
-                              (static_cast<long long>(iy) * w + ix + lo) * c;
-                          const float* taps =
-                              col + static_cast<long long>(lo) * c;
-                          for (int t = 0; t < (hi - lo) * c; ++t) {
-                            px[t] += taps[t];
-                          }
-                        }
-                      }
-                    }
-                  }
-                  Accumulate(xn.get(), std::move(g));
-                });
+  return MakeOp(
+      cols, {xn},
+      [xn, n, c, h, w, oh, ow, kh, kw, stride, pad, plane_size](Node* self) {
+        if (!xn->requires_grad) return;
+        // col2im through the forward's zero-bordered plane: `col` walks
+        // the patch gradients in (row, col) order, and each kernel row adds
+        // its kw*c floats, with no bounds test, into the plane run it was
+        // read from. The border collects the padding taps, which are
+        // dropped; every pixel sums its taps from +0.0f in the order a
+        // per-tap loop would.
+        const int image_row = w * c;
+        const int plane_row = image_row + 2 * pad * c;
+        const int run = kw * c;
+        std::vector<float> plane(plane_size);
+        const float* interior =
+            plane.data() + static_cast<long long>(pad) * plane_row + pad * c;
+        Tensor g({n, h, w, c});
+        const float* col = self->grad.data();
+        for (int b = 0; b < n; ++b) {
+          std::fill(plane.begin(), plane.end(), 0.0f);
+          for (int oy = 0; oy < oh; ++oy) {
+            float* window =
+                plane.data() + static_cast<long long>(oy) * stride * plane_row;
+            for (int ox = 0; ox < ow; ++ox, window += stride * c) {
+              float* px = window;
+              for (int ky = 0; ky < kh; ++ky, px += plane_row, col += run) {
+                for (int t = 0; t < run; ++t) px[t] += col[t];
+              }
+            }
+          }
+          float* image = g.data() + static_cast<long long>(b) * h * image_row;
+          for (int y = 0; y < h; ++y) {
+            std::copy_n(interior + static_cast<long long>(y) * plane_row,
+                        image_row,
+                        image + static_cast<long long>(y) * image_row);
+          }
+        }
+        Accumulate(xn.get(), std::move(g));
+      });
 }
 
 Var SoftmaxRowsV(const Var& logits) {

@@ -114,7 +114,7 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
 }
 
 void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
-                int kh, int kw, int stride, int pad) {
+                int kh, int kw, int stride, int pad, float* /*plane*/) {
   const int oh = (h + 2 * pad - kh) / stride + 1;
   const int ow = (w + 2 * pad - kw) / stride + 1;
   const int patch = kh * kw * c;
@@ -170,9 +170,30 @@ Backend ClampToCompiled(int flag) {
 
 bool UseSimd() { return ActiveBackend() == Backend::kSimd; }
 
+/// Whether a simd call runs the 8-lane copy. `width` is the length the
+/// kernel vectorises: output columns, a map's element count, or Im2Col's
+/// kw*c run. The 8-lane copy takes it only when it is a multiple of 8, so
+/// that no column falls to the 8-lane scalar tail: the heads' 12-wide
+/// products take 1.8-2.9x as long at 8 lanes (docs/INTERNALS.md).
+bool EightLanes(int width) { return width % 8 == 0 && EightLanesUsable(); }
+
 }  // namespace
 
 bool SimdCompiled() { return simd::Available(); }
+
+bool EightLanesUsable() {
+#ifdef VSD_SIMD_AVX2
+  // libgcc and compiler-rt report AVX2 only when the OS saves the ymm
+  // registers too.
+  static const bool usable = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return usable;
+#else
+  return false;
+#endif
+}
 
 Backend ActiveBackend() {
   const int override_flag =
@@ -195,33 +216,43 @@ void ClearBackendOverride() {
 }
 
 // ---- Entry points ----
+//
+// Under the simd backend each call picks the 4- or the 8-lane copy by
+// EightLanes(width); both give the scalar bits.
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
-  UseSimd() ? simd::MatMulInto(a, b, out, m, k, n)
-            : scalar::MatMulInto(a, b, out, m, k, n);
+  if (!UseSimd()) return scalar::MatMulInto(a, b, out, m, k, n);
+  EightLanes(n) ? simd_avx2::MatMulInto(a, b, out, m, k, n)
+                : simd::MatMulInto(a, b, out, m, k, n);
 }
 
 void MatMulTransAInto(const float* a, const float* b, float* out, int m,
                       int k, int n) {
-  UseSimd() ? simd::MatMulTransAInto(a, b, out, m, k, n)
-            : scalar::MatMulTransAInto(a, b, out, m, k, n);
+  if (!UseSimd()) return scalar::MatMulTransAInto(a, b, out, m, k, n);
+  EightLanes(n) ? simd_avx2::MatMulTransAInto(a, b, out, m, k, n)
+                : simd::MatMulTransAInto(a, b, out, m, k, n);
 }
 
 void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n) {
-  UseSimd() ? simd::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n)
-            : scalar::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n);
+  if (!UseSimd()) {
+    return scalar::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n);
+  }
+  EightLanes(n) ? simd_avx2::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n)
+                : simd::MatMulI8Into(a, bq, bscale, bzero, out, m, k, n);
 }
 
 void AddRowsInto(const float* a, const float* bias, float* out, int rows,
                  int cols) {
-  UseSimd() ? simd::AddRowsInto(a, bias, out, rows, cols)
-            : scalar::AddRowsInto(a, bias, out, rows, cols);
+  if (!UseSimd()) return scalar::AddRowsInto(a, bias, out, rows, cols);
+  EightLanes(cols) ? simd_avx2::AddRowsInto(a, bias, out, rows, cols)
+                   : simd::AddRowsInto(a, bias, out, rows, cols);
 }
 
 void ReluInto(const float* x, float* out, int n) {
-  UseSimd() ? simd::ReluInto(x, out, n) : scalar::ReluInto(x, out, n);
+  if (!UseSimd()) return scalar::ReluInto(x, out, n);
+  EightLanes(n) ? simd_avx2::ReluInto(x, out, n) : simd::ReluInto(x, out, n);
 }
 
 // Tanh and Sigmoid have no vector variant (see kernels_backends.h), so
@@ -235,9 +266,11 @@ void SigmoidInto(const float* x, float* out, int n) {
 }
 
 void GeluInto(const float* x, float* out, int n) {
-  UseSimd() ? simd::GeluInto(x, out, n) : scalar::GeluInto(x, out, n);
+  if (!UseSimd()) return scalar::GeluInto(x, out, n);
+  EightLanes(n) ? simd_avx2::GeluInto(x, out, n) : simd::GeluInto(x, out, n);
 }
 
+// Two memcpy calls per row at either width.
 void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
                     int da, int db) {
   UseSimd() ? simd::ConcatRowsInto(a, b, out, rows, da, db)
@@ -245,9 +278,13 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
 }
 
 void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
-                int kh, int kw, int stride, int pad) {
-  UseSimd() ? simd::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad)
-            : scalar::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad);
+                int kh, int kw, int stride, int pad, float* plane) {
+  if (!UseSimd()) {
+    return scalar::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad, plane);
+  }
+  EightLanes(kw * c)
+      ? simd_avx2::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad, plane)
+      : simd::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad, plane);
 }
 
 }  // namespace vsd::tensor::kernels

@@ -10,8 +10,11 @@ namespace vsd::tensor::kernels {
 // Every op that appears both in the eager tensor/autograd forward pass and
 // in the compiled graph executor (`nn::graph`) is reached exactly once
 // through the entry points below. Each calls its kernel directly: the ops
-// with a simd-backend variant (all but Tanh and Sigmoid) pick `simd::` or
-// `scalar::` by `ActiveBackend()`, the rest always call `scalar::`.
+// with a simd-backend variant (all but Tanh and Sigmoid) pick a simd copy
+// or `scalar::` by `ActiveBackend()`, the rest always call `scalar::`.
+// Under the simd backend, x86-64 GCC/Clang builds run the 8-lane copy on
+// CPUs with AVX2 when the width a call vectorises is a multiple of 8, and
+// the 4-lane copy otherwise (kernels.cc).
 // Bit-identity between the execution modes is therefore structural: both
 // reach the same function for a given backend, and the simd kernels are
 // required to be bit-identical to the scalar reference (fixed k-order
@@ -88,8 +91,20 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
 
 /// im2col over NHWC input x [n,h,w,c] into out [n*oh*ow, kh*kw*c] where
 /// oh/ow follow `autograd::ConvOutDim`. Out-of-bounds taps read as zero.
+/// The window must fit the padded image (kh <= h + 2*pad, kw <= w +
+/// 2*pad); `autograd::Im2Col` and `GraphBuilder::Im2Col` check it.
+/// `plane` is scratch of Im2ColPlaneSize(h, w, c, pad) floats, owned by
+/// the caller and used by one call at a time: the simd backend reads each
+/// image through it with a zero border. What it holds on entry does not
+/// matter.
 void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
-                int kh, int kw, int stride, int pad);
+                int kh, int kw, int stride, int pad, float* plane);
+
+/// Floats of Im2ColInto's `plane`: one image with `pad` zeros on each
+/// side, (h+2*pad) x (w+2*pad) x c.
+constexpr int Im2ColPlaneSize(int h, int w, int c, int pad) {
+  return (h + 2 * pad) * (w + 2 * pad) * c;
+}
 
 }  // namespace vsd::tensor::kernels
 

@@ -9,6 +9,12 @@
 //   * tails reuse the same per-element expression as the vector body.
 // The scalar/simd bitwise sweeps in tests/quant_test.cc and
 // tests/graph_exec_test.cc pin the contract.
+//
+// This file is compiled once per vector width: as namespace `simd` with
+// the build's flags, and on x86-64 GCC/Clang a second time with -mavx2
+// and VSD_SIMD_NAMESPACE=simd_avx2 (src/tensor/CMakeLists.txt), which
+// kernels.cc calls on CPUs with AVX2. Everything else here is either in
+// that namespace or TU-local, so the two copies share no symbol.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -26,7 +32,11 @@
 #include <emmintrin.h>
 #endif
 
-namespace vsd::tensor::kernels::simd {
+#ifndef VSD_SIMD_NAMESPACE
+#define VSD_SIMD_NAMESPACE simd
+#endif
+
+namespace vsd::tensor::kernels::VSD_SIMD_NAMESPACE {
 
 #ifdef VSD_SIMD_VECTOR_EXT
 
@@ -391,6 +401,42 @@ void MatMulTransAChunk(const float* a, const float* b, float* out, int rows,
   }
 }
 
+// ---- Im2Col's copies ----
+//
+// A run of `count` floats moves as whole vectors, the last one ending at
+// the run's end: it may overlap the one before it, which writes the same
+// floats again. Runs shorter than four floats move one float at a time.
+// Loads and stores move bits, so every float arrives unchanged (NaN and
+// -0.0f included).
+
+typedef float v4f __attribute__((vector_size(16)));
+
+template <typename V>
+inline void CopyVectors(const float* src, float* dst, int count) {
+  constexpr int kFloats = sizeof(V) / sizeof(float);
+  V v;
+  for (int t = 0; t + kFloats < count; t += kFloats) {
+    std::memcpy(&v, src + t, sizeof(v));
+    std::memcpy(dst + t, &v, sizeof(v));
+  }
+  std::memcpy(&v, src + count - kFloats, sizeof(v));
+  std::memcpy(dst + count - kFloats, &v, sizeof(v));
+}
+
+inline void CopyRun(const float* src, float* dst, int count) {
+  if (count >= kLanes) {
+    CopyVectors<vf>(src, dst, count);
+  } else if (count >= 4) {
+    CopyVectors<v4f>(src, dst, count);
+  } else {
+    for (int t = 0; t < count; ++t) dst[t] = src[t];
+  }
+}
+
+inline void ZeroRun(float* dst, int count) {
+  for (int t = 0; t < count; ++t) dst[t] = 0.0f;
+}
+
 }  // namespace
 
 bool Available() { return true; }
@@ -531,6 +577,53 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
   }
 }
 
+// The scalar loop zero-fills the whole output and then gathers every tap
+// through a bounds test. Here each image is first copied into the interior
+// of `plane`, whose border of `pad` zeros on every side is written once
+// per call, so every window lies inside the plane and each of its kernel
+// rows is one run of kw*c floats (5 for conv1, 24 for conv2), copied with
+// no test. Every float is copied bit for bit or written as +0.0f, as in
+// the scalar loop. The plane holds one image, so it stays in L1 for the
+// whole batch. src/tensor/CMakeLists.txt stops GCC turning the short
+// zeroing and copy loops into memset and memcpy calls, which cost more
+// than the loops.
+void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
+                int kh, int kw, int stride, int pad, float* plane) {
+  const int oh = (h + 2 * pad - kh) / stride + 1;
+  const int ow = (w + 2 * pad - kw) / stride + 1;
+  const int image_row = w * c;
+  const int margin = pad * c;
+  const int plane_row = image_row + 2 * margin;
+  const int run = kw * c;
+  ZeroRun(plane, pad * plane_row);
+  for (int y = 0; y < h; ++y) {
+    float* prow = plane + static_cast<long long>(pad + y) * plane_row;
+    ZeroRun(prow, margin);
+    ZeroRun(prow + margin + image_row, margin);
+  }
+  ZeroRun(plane + static_cast<long long>(pad + h) * plane_row,
+          pad * plane_row);
+  float* interior = plane + static_cast<long long>(pad) * plane_row + margin;
+  float* row = out;
+  for (int b = 0; b < n; ++b) {
+    const float* image = x + static_cast<long long>(b) * h * image_row;
+    for (int y = 0; y < h; ++y) {
+      CopyRun(image + static_cast<long long>(y) * image_row,
+              interior + static_cast<long long>(y) * plane_row, image_row);
+    }
+    for (int oy = 0; oy < oh; ++oy) {
+      const float* window =
+          plane + static_cast<long long>(oy) * stride * plane_row;
+      for (int ox = 0; ox < ow; ++ox, window += stride * c) {
+        const float* taps = window;
+        for (int ky = 0; ky < kh; ++ky, taps += plane_row, row += run) {
+          CopyRun(taps, row, run);
+        }
+      }
+    }
+  }
+}
+
 #else  // !VSD_SIMD_VECTOR_EXT — forward to scalar so the symbols exist.
 
 bool Available() { return false; }
@@ -561,49 +654,11 @@ void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
                     int da, int db) {
   scalar::ConcatRowsInto(a, b, out, rows, da, db);
 }
+void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
+                int kh, int kw, int stride, int pad, float* plane) {
+  scalar::Im2ColInto(x, out, n, h, w, c, kh, kw, stride, pad, plane);
+}
 
 #endif  // VSD_SIMD_VECTOR_EXT
 
-// Im2Col needs no vector type. The scalar loop zero-fills the whole output
-// and then gathers every tap through a bounds test; here each kernel row's
-// padding taps are zeroed and its in-bounds taps, contiguous in NHWC, are
-// copied in one run, with no test per tap. Every float is copied bit for
-// bit or written as +0.0f, as in the scalar loop. The runs are a few floats
-// long (5 for conv1), so they stay plain loops: src/tensor/CMakeLists.txt
-// stops GCC turning them into memcpy and memset calls, which cost more
-// than the copy.
-void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
-                int kh, int kw, int stride, int pad) {
-  const int oh = (h + 2 * pad - kh) / stride + 1;
-  const int ow = (w + 2 * pad - kw) / stride + 1;
-  float* row = out;
-  for (int b = 0; b < n; ++b) {
-    const float* image = x + static_cast<long long>(b) * h * w * c;
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        // Taps [0, lo) fall left of the image, [lo, hi) inside it and
-        // [hi, kw) right of it; in floats, left, inside and right.
-        const int ix = ox * stride - pad;
-        const int lo = std::clamp(-ix, 0, kw);
-        const int hi = std::clamp(w - ix, lo, kw);
-        const int left = lo * c;
-        const int inside = (hi - lo) * c;
-        const int right = (kw - hi) * c;
-        for (int ky = 0; ky < kh; ++ky, row += left + inside + right) {
-          const int iy = oy * stride + ky - pad;
-          if (iy < 0 || iy >= h || inside == 0) {
-            for (int t = 0; t < left + inside + right; ++t) row[t] = 0.0f;
-            continue;
-          }
-          const float* taps =
-              image + (static_cast<long long>(iy) * w + ix + lo) * c;
-          for (int t = 0; t < left; ++t) row[t] = 0.0f;
-          for (int t = 0; t < inside; ++t) row[left + t] = taps[t];
-          for (int t = 0; t < right; ++t) row[left + inside + t] = 0.0f;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace vsd::tensor::kernels::simd
+}  // namespace vsd::tensor::kernels::VSD_SIMD_NAMESPACE

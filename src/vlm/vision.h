@@ -108,6 +108,11 @@ class VisionTower : public nn::Module {
   /// after mutating parameter storage in place (vlm/quantize.h).
   void InvalidateCompiledGraphs();
 
+  /// Lowers `Forward` for batch size `n` onto a compiled graph (packed
+  /// frames input -> [n, dim] embeddings); the compiled encode runs it.
+  /// Public so tests can execute the tower's own graph directly.
+  int BuildEncodeGraph(nn::graph::GraphBuilder* builder, int n) const;
+
  private:
   /// Shared implementation of EncodeBatch/EmbedPairs: N frames -> [N,dim]
   /// rows, through the compiled graph when `graph::GraphExecEnabled()`
@@ -115,9 +120,6 @@ class VisionTower : public nn::Module {
   /// the eager autograd forward otherwise.
   tensor::Tensor EncodeRows(
       const std::vector<const img::Image*>& frames) const;
-
-  /// Lowers `Forward` for batch size `n` onto a compiled graph.
-  int BuildEncodeGraph(nn::graph::GraphBuilder* builder, int n) const;
 
   /// Packs images into `dst` (size n*input*input floats), resizing as
   /// needed; the writing twin of PackImages, usable on arena memory.

@@ -411,6 +411,13 @@ TEST(AutogradTest, Im2ColGradientMatchesTapLoopBitwise) {
   }
 }
 
+TEST(AutogradTest, Im2ColRejectsAWindowLargerThanThePaddedImage) {
+  // ConvOutDim truncates toward zero, so a 3x3 window over a 2x2 image at
+  // stride 2 would count one output row whose taps run past the image.
+  Var x(Tensor::Zeros({1, 2, 2, 1}));
+  EXPECT_DEATH(Im2Col(x, 3, 3, 2, 0), "larger than the padded image");
+}
+
 TEST(AutogradTest, ConvOutDim) {
   EXPECT_EQ(ConvOutDim(32, 3, 1, 1), 32);
   EXPECT_EQ(ConvOutDim(32, 3, 2, 1), 16);

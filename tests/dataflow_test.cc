@@ -442,6 +442,24 @@ TEST(HotPathAllocTest, KernelsFileFunctionsAreScannedDirectly) {
   EXPECT_NE(findings[0].message.find("MatMul"), std::string::npos);
 }
 
+TEST(HotPathAllocTest, BackendKernelFilesAreScannedToo) {
+  // The vector kernels sit in kernels_simd.cc (compiled once per vector
+  // width), two calls below Execute; a scratch buffer grown there, per
+  // thread or per call, allocates inside the zero-allocation contract.
+  DataflowProgram program;
+  program.AddFile("src/tensor/kernels_simd.cc", Lex(R"cc(
+    void Im2ColInto(const float* x, float* out, int size) {
+      thread_local std::vector<float> plane;
+      plane.resize(size);
+    }
+  )cc"));
+  const std::vector<Finding> findings = CheckHotPathAlloc(program);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/tensor/kernels_simd.cc");
+  EXPECT_NE(findings[0].message.find("resize"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("Im2ColInto"), std::string::npos);
+}
+
 TEST(HotPathAllocTest, ExecuteBodyAndItsDirectCalleesAreScanned) {
   DataflowProgram program;
   program.AddFile("src/nn/graph_exec.cc", Lex(R"cc(

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -40,6 +41,7 @@
 #include "tensor/kernels.h"
 #include "vlm/foundation_model.h"
 #include "vlm/quantize.h"
+#include "vlm/vision.h"
 
 namespace vsd {
 namespace {
@@ -456,9 +458,11 @@ TEST(GraphAllocTest, CountingAllocatorIsLinkedIn) {
 /// Warms `forward` up at batch `n` (compiles the graph, constructs the
 /// executor, grows the idle pool to steady state), then checks that one
 /// more full acquire/fill/execute/read/release cycle performs zero heap
-/// allocations and reproduces the warm-up output.
+/// allocations and reproduces the warm-up output. With `warm_up` false
+/// the warm-up cycle is skipped: `forward` must already be warm at `n`,
+/// from another thread.
 void ExpectSteadyCycleAllocationFree(graph::CompiledForward* forward, int n,
-                                     const char* name) {
+                                     const char* name, bool warm_up = true) {
   auto cycle = [forward, n] {
     graph::CompiledForward::Lease lease = forward->Acquire(n);
     const graph::CompiledGraph& compiled = lease->graph();
@@ -473,13 +477,15 @@ void ExpectSteadyCycleAllocationFree(graph::CompiledForward* forward, int n,
     lease->Execute();
     return lease->OutputData()[0];
   };
-  const float warm = cycle();
+  const float warm = warm_up ? cycle() : 0.0f;
   const uint64_t before = AllocCount();
   const float steady = cycle();
   const uint64_t after = AllocCount();
   EXPECT_EQ(after - before, 0u)
       << name << " forward cycle allocated " << (after - before) << " times";
-  EXPECT_EQ(steady, warm) << name;
+  if (warm_up) {
+    EXPECT_EQ(steady, warm) << name;
+  }
 }
 
 TEST(GraphAllocTest, ExecuteIsAllocationFreeAfterWarmup) {
@@ -492,8 +498,15 @@ TEST(GraphAllocTest, ExecuteIsAllocationFreeAfterWarmup) {
       });
   ExpectSteadyCycleAllocationFree(&mlp_forward, 7, "mlp");
 
-  // The model's own trunk graph and the head graphs that read trunk rows.
+  // The vision tower's encode graph (two Im2Col nodes), the model's own
+  // trunk graph and the head graphs that read trunk rows.
   const vlm::FoundationModel model(ModelWorld::MakeConfig());
+  const vlm::VisionTower& tower = model.vision();
+  graph::CompiledForward encode(
+      [&tower](graph::GraphBuilder* builder, int n) {
+        return tower.BuildEncodeGraph(builder, n);
+      });
+  ExpectSteadyCycleAllocationFree(&encode, 7, "encode");
   using BuildMethod =
       int (vlm::FoundationModel::*)(graph::GraphBuilder*, int) const;
   const std::pair<const char*, BuildMethod> builds[] = {
@@ -509,6 +522,15 @@ TEST(GraphAllocTest, ExecuteIsAllocationFreeAfterWarmup) {
         });
     ExpectSteadyCycleAllocationFree(&forward, 7, name);
   }
+
+  // A steady cycle on a thread that has never run one: per-thread scratch
+  // (a thread_local buffer grown on first use, say) would allocate here,
+  // once on every new serve worker or pool thread.
+  std::thread fresh([&encode] {
+    ExpectSteadyCycleAllocationFree(&encode, 7, "encode on a fresh thread",
+                                    /*warm_up=*/false);
+  });
+  fresh.join();
 }
 
 TEST(GraphAllocTest, ExecuteAloneIsAllocationFreeOnEveryCall) {

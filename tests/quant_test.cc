@@ -3,14 +3,17 @@
 // round-trip error bounds, determinism across thread counts, the fused
 // int8 MatMul's bit-identity with dequantize-then-MatMul, backend
 // dispatch, and scalar-vs-SIMD bitwise equality for every dispatched
-// kernel including vector-width tails.
+// kernel including vector-width tails, for the 4-lane and the 8-lane copy
+// each called directly.
 #include "tensor/quant.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -176,7 +179,8 @@ struct KernelInputs {
   }
   auto Im2Col() const {
     return [this](auto* fn, float* out) {
-      fn(image.data(), out, 2, 5, 4, 3, 3, 3, 2, 1);
+      std::vector<float> plane(k::Im2ColPlaneSize(5, 4, 3, 1), 9.5f);
+      fn(image.data(), out, 2, 5, 4, 3, 3, 3, 2, 1, plane.data());
     };
   }
 };
@@ -222,7 +226,8 @@ TEST(RegistryTest, ScalarIsRegisteredForEveryOp) {
 TEST(RegistryTest, ResolveFallsBackToScalarForUnregisteredSlots) {
   // Tanh and Sigmoid have no vector variant: under kSimd their entry
   // points still compute the scalar kernel (libm per element). Im2Col's
-  // simd variant copies whole kernel rows, and must give the same bytes.
+  // simd variant copies whole kernel rows from a bordered plane, and must
+  // give the same bytes.
   const KernelInputs in;
   const k::Backend sd = k::Backend::kSimd;
   const size_t map_size = in.image.size();
@@ -245,24 +250,100 @@ TEST(RegistryTest, BackendOverrideWinsAndClears) {
   }
 }
 
-// Runs `fn` under both backends into separate buffers and expects bitwise
-// equality. Buffers are pre-filled with a dirty pattern so kernels that
-// fail to fully define their output range are caught too.
+/// One compiled set of the dispatched kernels, called directly.
+struct KernelCopy {
+  const char* name;
+  decltype(&k::scalar::MatMulInto) matmul;
+  decltype(&k::scalar::MatMulTransAInto) matmul_trans_a;
+  decltype(&k::scalar::MatMulI8Into) matmul_i8;
+  decltype(&k::scalar::AddRowsInto) add_rows;
+  decltype(&k::scalar::ReluInto) relu;
+  decltype(&k::scalar::GeluInto) gelu;
+  decltype(&k::scalar::ConcatRowsInto) concat_rows;
+  decltype(&k::scalar::Im2ColInto) im2col;
+};
+
+constexpr KernelCopy kScalarCopy = {
+    "scalar",
+    &k::scalar::MatMulInto,
+    &k::scalar::MatMulTransAInto,
+    &k::scalar::MatMulI8Into,
+    &k::scalar::AddRowsInto,
+    &k::scalar::ReluInto,
+    &k::scalar::GeluInto,
+    &k::scalar::ConcatRowsInto,
+    &k::scalar::Im2ColInto,
+};
+constexpr KernelCopy kFourLanes = {
+    "4-lane simd",
+    &k::simd::MatMulInto,
+    &k::simd::MatMulTransAInto,
+    &k::simd::MatMulI8Into,
+    &k::simd::AddRowsInto,
+    &k::simd::ReluInto,
+    &k::simd::GeluInto,
+    &k::simd::ConcatRowsInto,
+    &k::simd::Im2ColInto,
+};
+constexpr KernelCopy kEightLanes = {
+    "8-lane simd",
+    &k::simd_avx2::MatMulInto,
+    &k::simd_avx2::MatMulTransAInto,
+    &k::simd_avx2::MatMulI8Into,
+    &k::simd_avx2::AddRowsInto,
+    &k::simd_avx2::ReluInto,
+    &k::simd_avx2::GeluInto,
+    &k::simd_avx2::ConcatRowsInto,
+    &k::simd_avx2::Im2ColInto,
+};
+/// The entry points, called under the simd backend (each picks a copy).
+constexpr KernelCopy kSimdEntries = {
+    "entry points under simd",
+    &k::MatMulInto,
+    &k::MatMulTransAInto,
+    &k::MatMulI8Into,
+    &k::AddRowsInto,
+    &k::ReluInto,
+    &k::GeluInto,
+    &k::ConcatRowsInto,
+    &k::Im2ColInto,
+};
+
+/// The copies checked against scalar: the 4-lane one, the 8-lane one on a
+/// CPU that runs it, and the entry points under the simd backend.
+std::vector<const KernelCopy*> SimdCopies() {
+  std::vector<const KernelCopy*> copies = {&kFourLanes, &kSimdEntries};
+  if (k::EightLanesUsable()) copies.push_back(&kEightLanes);
+  return copies;
+}
+
+/// Runs `fn(copy, out)` for scalar and for every SimdCopies() entry into
+/// separate buffers, and expects each simd output bitwise equal to
+/// scalar's. Buffers are pre-filled with a dirty pattern so kernels that
+/// fail to fully define their output range are caught too.
 template <typename Fn>
-void ExpectBackendsBitIdentical(size_t out_size, Fn&& fn) {
+void ExpectCopiesMatchScalar(size_t out_size, Fn&& fn) {
   if (!k::SimdCompiled()) GTEST_SKIP() << "SIMD backend not compiled in";
-  std::vector<float> out_scalar(out_size, -123.25f);
-  std::vector<float> out_simd(out_size, 456.75f);
-  {
-    BackendGuard guard(k::Backend::kScalar);
-    fn(out_scalar.data());
+  std::vector<float> want(out_size, -123.25f);
+  fn(kScalarCopy, want.data());
+  for (const KernelCopy* copy : SimdCopies()) {
+    std::vector<float> got(out_size, 456.75f);
+    {
+      BackendGuard guard(k::Backend::kSimd);
+      fn(*copy, got.data());
+    }
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                             out_size * sizeof(float)))
+        << copy->name;
   }
-  {
-    BackendGuard guard(k::Backend::kSimd);
-    fn(out_simd.data());
+}
+
+/// Ends a sweep: where the 8-lane copy cannot run, says so.
+void SkipIfNoEightLanes() {
+  if (!k::EightLanesUsable()) {
+    GTEST_SKIP() << "8-lane copy not checked: CPU without AVX2, or a build "
+                    "without the copy";
   }
-  EXPECT_EQ(0, std::memcmp(out_scalar.data(), out_simd.data(),
-                           out_size * sizeof(float)));
 }
 
 /// A [m,k] MatMul operand: normal values with about `zero_share` of them
@@ -306,8 +387,8 @@ void ExpectMatMulExact(const std::vector<float>& a,
                        const std::vector<float>& b, int m, int kk, int n) {
   SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << kk << " n=" << n);
   const size_t size = static_cast<size_t>(m) * n;
-  ExpectBackendsBitIdentical(size, [&](float* out) {
-    k::MatMulInto(a.data(), b.data(), out, m, kk, n);
+  ExpectCopiesMatchScalar(size, [&](const KernelCopy& copy, float* out) {
+    copy.matmul(a.data(), b.data(), out, m, kk, n);
   });
   if (m == 1) return;
   std::vector<float> rows(size, 1.5f);
@@ -345,6 +426,7 @@ TEST(SimdBitIdentityTest, MatMulF32IncludingTails) {
       }
     }
   }
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, MatMulTransAIncludingTails) {
@@ -377,8 +459,9 @@ TEST(SimdBitIdentityTest, MatMulTransAIncludingTails) {
               m == 0 ? std::vector<float>()
                      : OperandWithNonFiniteRow(m, n, m / 2, &rng);
           const size_t size = static_cast<size_t>(kk) * n;
-          ExpectBackendsBitIdentical(size, [&](float* out) {
-            k::MatMulTransAInto(a.data(), b.data(), out, m, kk, n);
+          ExpectCopiesMatchScalar(size, [&](const KernelCopy& copy,
+                                            float* out) {
+            copy.matmul_trans_a(a.data(), b.data(), out, m, kk, n);
           });
           std::vector<float> direct(size, 3.5f);
           std::vector<float> transposed(size, -7.25f);
@@ -390,6 +473,7 @@ TEST(SimdBitIdentityTest, MatMulTransAIncludingTails) {
       }
     }
   }
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, MatMulF32SkipsZeroRows) {
@@ -398,46 +482,87 @@ TEST(SimdBitIdentityTest, MatMulF32SkipsZeroRows) {
   Tensor a = Tensor::Randn({6, 12}, &rng);
   for (int j = 0; j < 12; ++j) a.data()[2 * 12 + j] = 0.0f;
   Tensor b = Tensor::Randn({12, 9}, &rng);
-  ExpectBackendsBitIdentical(static_cast<size_t>(6) * 9, [&](float* out) {
-    k::MatMulInto(a.data(), b.data(), out, 6, 12, 9);
-  });
+  ExpectCopiesMatchScalar(static_cast<size_t>(6) * 9,
+                          [&](const KernelCopy& copy, float* out) {
+                            copy.matmul(a.data(), b.data(), out, 6, 12, 9);
+                          });
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, Im2ColIncludingPadding) {
   // Every padding case: taps off each edge, whole kernel rows off the top
-  // and bottom, windows wider than the padded image's margin. The input
-  // holds -0.0f and NaN, which the copy must keep bit for bit.
-  Rng rng(29);
-  struct Window {
-    int kh, kw;
+  // and bottom, windows wider than the padded image's margin; then the
+  // model's two convolutions at batch 1-3. The input holds -0.0f and NaN,
+  // which the copy must keep bit for bit.
+  struct Shape {
+    int n, h, w, c, kh, kw, stride, pad;
   };
+  std::vector<Shape> shapes;
   for (int n : {1, 3}) {
     for (int c : {1, 8}) {
-      for (const Window& win : {Window{1, 1}, Window{3, 3}, Window{5, 5},
-                                Window{2, 3}}) {
+      for (const auto& [kh, kw] :
+           {std::pair{1, 1}, std::pair{3, 3}, std::pair{5, 5},
+            std::pair{2, 3}}) {
         for (int stride : {1, 2}) {
           for (int pad : {0, 1, 2}) {
-            const int h = 7;
-            const int w = 6;
-            const int oh = (h + 2 * pad - win.kh) / stride + 1;
-            const int ow = (w + 2 * pad - win.kw) / stride + 1;
-            Tensor x = Tensor::Randn({n, h, w, c}, &rng);
-            x.data()[0] = -0.0f;
-            x.data()[x.size() - 1] = std::numeric_limits<float>::quiet_NaN();
-            SCOPED_TRACE(testing::Message()
-                         << "n=" << n << " c=" << c << " k=" << win.kh << "x"
-                         << win.kw << " stride=" << stride << " pad=" << pad);
-            ExpectBackendsBitIdentical(
-                static_cast<size_t>(n) * oh * ow * win.kh * win.kw * c,
-                [&](float* out) {
-                  k::Im2ColInto(x.data(), out, n, h, w, c, win.kh, win.kw,
-                                stride, pad);
-                });
+            shapes.push_back({n, 7, 6, c, kh, kw, stride, pad});
           }
         }
       }
     }
   }
+  for (int n : {1, 2, 3}) {
+    shapes.push_back({n, 48, 48, 1, 5, 5, 2, 2});  // conv1
+    shapes.push_back({n, 24, 24, 8, 3, 3, 2, 1});  // conv2
+  }
+  // One output and one plane per copy, reused across every shape without
+  // clearing, and each plane refilled with NaN before each call: a copy
+  // that leaves part of its output unwritten, or reads a plane border it
+  // did not zero, differs from scalar.
+  size_t max_out = 0;
+  size_t max_plane = 0;
+  for (const Shape& s : shapes) {
+    const int oh = (s.h + 2 * s.pad - s.kh) / s.stride + 1;
+    const int ow = (s.w + 2 * s.pad - s.kw) / s.stride + 1;
+    max_out = std::max(max_out, static_cast<size_t>(s.n) * oh * ow * s.kh *
+                                    s.kw * s.c);
+    max_plane = std::max(max_plane, static_cast<size_t>(k::Im2ColPlaneSize(
+                                        s.h, s.w, s.c, s.pad)));
+  }
+  const std::vector<const KernelCopy*> copies = SimdCopies();
+  std::vector<float> want(max_out, -123.25f);
+  std::vector<std::vector<float>> outs(copies.size(),
+                                       std::vector<float>(max_out, 456.75f));
+  std::vector<float> plane(max_plane);
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(29);
+  for (const Shape& s : shapes) {
+    const int oh = (s.h + 2 * s.pad - s.kh) / s.stride + 1;
+    const int ow = (s.w + 2 * s.pad - s.kw) / s.stride + 1;
+    const size_t size =
+        static_cast<size_t>(s.n) * oh * ow * s.kh * s.kw * s.c;
+    Tensor x = Tensor::Randn({s.n, s.h, s.w, s.c}, &rng);
+    x.data()[0] = -0.0f;
+    x.data()[x.size() - 1] = kNaN;
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << s.n << " " << s.h << "x" << s.w << "x" << s.c
+                 << " k=" << s.kh << "x" << s.kw << " stride=" << s.stride
+                 << " pad=" << s.pad);
+    auto run = [&](const KernelCopy& copy, float* out) {
+      std::fill(plane.begin(), plane.end(), kNaN);
+      copy.im2col(x.data(), out, s.n, s.h, s.w, s.c, s.kh, s.kw, s.stride,
+                  s.pad, plane.data());
+    };
+    run(kScalarCopy, want.data());
+    for (size_t i = 0; i < copies.size(); ++i) {
+      BackendGuard guard(k::Backend::kSimd);
+      run(*copies[i], outs[i].data());
+      EXPECT_EQ(0, std::memcmp(want.data(), outs[i].data(),
+                               size * sizeof(float)))
+          << copies[i]->name;
+    }
+  }
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, MatMulI8IncludingTails) {
@@ -445,11 +570,13 @@ TEST(SimdBitIdentityTest, MatMulI8IncludingTails) {
   for (int n : {1, 7, 8, 15, 32}) {
     Tensor a = Tensor::Randn({3, 20}, &rng);
     Tensor bq = Tensor::Randn({20, n}, &rng).QuantizeInt8();
-    ExpectBackendsBitIdentical(static_cast<size_t>(3) * n, [&](float* out) {
-      k::MatMulI8Into(a.data(), bq.qdata(), bq.qscale(), bq.qzero(), out, 3,
-                      20, n);
-    });
+    ExpectCopiesMatchScalar(
+        static_cast<size_t>(3) * n, [&](const KernelCopy& copy, float* out) {
+          copy.matmul_i8(a.data(), bq.qdata(), bq.qscale(), bq.qzero(), out,
+                         3, 20, n);
+        });
   }
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, AddRowsIncludingTails) {
@@ -457,12 +584,12 @@ TEST(SimdBitIdentityTest, AddRowsIncludingTails) {
   for (int cols : {1, 5, 8, 19, 64}) {
     Tensor a = Tensor::Randn({7, cols}, &rng);
     Tensor bias = Tensor::Randn({cols}, &rng);
-    ExpectBackendsBitIdentical(static_cast<size_t>(7) * cols,
-                               [&](float* out) {
-                                 k::AddRowsInto(a.data(), bias.data(), out, 7,
-                                                cols);
-                               });
+    ExpectCopiesMatchScalar(
+        static_cast<size_t>(7) * cols, [&](const KernelCopy& copy, float* out) {
+          copy.add_rows(a.data(), bias.data(), out, 7, cols);
+        });
   }
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, ReluHandlesNegZeroAndSpecials) {
@@ -470,28 +597,34 @@ TEST(SimdBitIdentityTest, ReluHandlesNegZeroAndSpecials) {
   // -0.0f -> +0.0f and denormals.
   std::vector<float> x = {-1.0f, 0.0f,  -0.0f, 2.5f,   -2.5f, 1e-38f,
                           -1e-38f, 3.0f, -4.0f, 0.125f, 7.0f,  -0.5f};
-  ExpectBackendsBitIdentical(x.size(), [&](float* out) {
-    k::ReluInto(x.data(), out, static_cast<int>(x.size()));
+  ExpectCopiesMatchScalar(x.size(), [&](const KernelCopy& copy, float* out) {
+    copy.relu(x.data(), out, static_cast<int>(x.size()));
   });
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, GeluIncludingTails) {
   Rng rng(25);
   for (int n : {3, 8, 11, 40}) {
     Tensor x = Tensor::Randn({n}, &rng);
-    ExpectBackendsBitIdentical(static_cast<size_t>(n), [&](float* out) {
-      k::GeluInto(x.data(), out, n);
-    });
+    ExpectCopiesMatchScalar(static_cast<size_t>(n),
+                            [&](const KernelCopy& copy, float* out) {
+                              copy.gelu(x.data(), out, n);
+                            });
   }
+  SkipIfNoEightLanes();
 }
 
 TEST(SimdBitIdentityTest, ConcatRowsMixedWidths) {
   Rng rng(26);
   Tensor a = Tensor::Randn({5, 13}, &rng);
   Tensor b = Tensor::Randn({5, 6}, &rng);
-  ExpectBackendsBitIdentical(static_cast<size_t>(5) * 19, [&](float* out) {
-    k::ConcatRowsInto(a.data(), b.data(), out, 5, 13, 6);
-  });
+  ExpectCopiesMatchScalar(static_cast<size_t>(5) * 19,
+                          [&](const KernelCopy& copy, float* out) {
+                            copy.concat_rows(a.data(), b.data(), out, 5, 13,
+                                             6);
+                          });
+  SkipIfNoEightLanes();
 }
 
 TEST(QuantTensorTest, CloneDeepCopiesQuantStorage) {
