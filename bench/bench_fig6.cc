@@ -42,7 +42,6 @@ int Main(int argc, char** argv) {
   const cot::ChainConfig chain = OursChainConfig(options);
   auto model =
       TrainOurs(chain, data.disfa, train, test, options, options.seed + 5);
-  cot::ChainPipeline pipeline(model.get(), chain);
 
   const int num_samples = options.quick ? 3 : 8;
   std::vector<const data::VideoSample*> samples;
@@ -55,6 +54,20 @@ int Main(int argc, char** argv) {
   explain::LimeExplainer lime(evals);
   explain::KernelShapExplainer shap(evals);
   explain::SobolExplainer sobol(options.quick ? 4 : 15);
+
+  // Ours runs on one clone whose feature cache is empty, so every timed Run
+  // encodes its frames like any other per-sample cost (Run never fills the
+  // cache). One untimed Run on its own Rng first compiles the clone's
+  // batch-1 graphs and allocates their arenas, so the timed calls measure
+  // the explanation rather than that set-up, and explain_rng's draws are
+  // unchanged.
+  auto fresh = model->Clone();
+  fresh->ClearFeatureCache();
+  cot::ChainPipeline fresh_pipeline(fresh.get(), chain);
+  if (!samples.empty()) {
+    Rng warm_rng(options.seed ^ 0x3A7);
+    (void)fresh_pipeline.Run(*samples.front(), &warm_rng);
+  }
 
   double ours_seconds = 0.0;
   double lime_seconds = 0.0;
@@ -71,12 +84,8 @@ int Main(int argc, char** argv) {
     const auto classifier = ModelBatchClassifier(*model, *sample, true);
     Rng explain_rng(options.seed + i);
 
-    // Ours: describe + assess + highlight, uncached frames (fair timing:
-    // the vision tower runs like any other per-sample cost).
+    // Ours: describe + assess + highlight on uncached frames.
     {
-      auto fresh = model->Clone();
-      fresh->ClearFeatureCache();
-      cot::ChainPipeline fresh_pipeline(fresh.get(), chain);
       const auto start = std::chrono::steady_clock::now();
       (void)fresh_pipeline.Run(*sample, &explain_rng);
       ours_seconds += SecondsSince(start);

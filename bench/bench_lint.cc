@@ -2,8 +2,8 @@
 // the repo (per-file rules plus the include-graph and dataflow passes) and
 // writes BENCH_lint.json, so CI tracks lint cost as the tree and the
 // analyses grow. The sidecar carries an "analyses" block timing each pass
-// separately (per-file rules, include graph, lock graph, annotations,
-// ref-invalidation) so a regression points at the analysis that caused it.
+// separately (per-file rules, include graph, annotations, ref-invalidation)
+// so a regression points at the analysis that caused it.
 // Exits 1 if the tree is not lint-clean — the timing of a dirty run is not
 // comparable.
 //
@@ -65,12 +65,6 @@ int main(int argc, char** argv) {
   (void)vsd::lint::CheckCycles(include_graph);
   const double include_s = include_timer.Seconds();
 
-  vsd::bench::PerfTimer lock_timer;
-  const vsd::lint::LockGraph lock_graph =
-      vsd::lint::BuildLockGraphFromTree(VSD_SOURCE_DIR, subdirs);
-  (void)vsd::lint::CheckLockOrder(lock_graph);
-  const double lock_s = lock_timer.Seconds();
-
   vsd::lint::DataflowProgram program;
   for (const auto& [rel, text] : contents) {
     program.AddFile(rel, vsd::lint::Lex(text));
@@ -104,7 +98,6 @@ int main(int argc, char** argv) {
                 "  \"analyses\": {\n"
                 "    \"per_file_rules_s\": %.6f,\n"
                 "    \"include_graph_s\": %.6f,\n"
-                "    \"lock_graph_s\": %.6f,\n"
                 "    \"annotations_s\": %.6f,\n"
                 "    \"ref_invalidation_s\": %.6f\n"
                 "  }\n"
@@ -113,13 +106,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(options.seed),
                 vsd::ThreadPool::GlobalThreads(), vsd::DefaultBatchSize(),
                 static_cast<long long>(files.size()), wall, rate, per_file_s,
-                include_s, lock_s, annotations_s, ref_s);
+                include_s, annotations_s, ref_s);
   vsd::bench::WriteSidecarFile("BENCH_lint.json", json);
   std::printf(
       "bench_lint: %zu files, %zu finding(s), %.3fs total "
-      "(per-file %.3fs, include %.3fs, lock %.3fs, annotations %.3fs, "
+      "(per-file %.3fs, include %.3fs, annotations %.3fs, "
       "ref-invalidation %.3fs)\n",
-      files.size(), findings.size(), wall, per_file_s, include_s, lock_s,
+      files.size(), findings.size(), wall, per_file_s, include_s,
       annotations_s, ref_s);
   return findings.empty() ? 0 : 1;
 }

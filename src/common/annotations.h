@@ -23,9 +23,9 @@
 ///   };
 ///
 /// Unlike clang's `__attribute__((guarded_by(...)))` family these are not
-/// tied to -Wthread-safety: the lint analysis also feeds `VSD_REQUIRES`
-/// into the whole-program lock-order graph, so annotated lock chains
-/// participate in deadlock detection across translation units.
+/// tied to -Wthread-safety, so they work under GCC too. Lock-order
+/// deadlocks are left to ThreadSanitizer, which reports an inversion on
+/// any schedule that takes both orders.
 
 /// On a data member: every read or write must happen while `mu` is held
 /// (via a lock guard, a manual lock()/unlock() window, or a
@@ -36,11 +36,6 @@
 /// The function body is checked as if `mu` were held on entry, and every
 /// resolvable call site is checked for actually holding it.
 #define VSD_REQUIRES(mu)
-
-/// On a member function: the function acquires (and releases) `mu`
-/// internally. Used by the lock-order graph for one-level call linking
-/// even when the acquisition is not lexically visible to the caller.
-#define VSD_ACQUIRES(mu)
 
 /// On a member function: the caller must NOT hold `mu` (the function
 /// acquires it itself; calling with `mu` held self-deadlocks a

@@ -60,9 +60,8 @@ class ThreadPool {
   ///
   /// The body must write only per-index slots (`out[i] = ...`), body
   /// locals, atomics, or lock-guarded state — any other write through a
-  /// by-reference capture is a data race. vsd_lint enforces this
-  /// statically (rule `unguarded-capture`, src/lint/captures.h); TSan is
-  /// the dynamic backstop.
+  /// by-reference capture is a data race. CI's ThreadSanitizer job runs
+  /// the parallel suites at VSD_THREADS=4 to catch one.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
   /// Maps [0, n) through `fn`, returning results in index order. `T` must

@@ -115,7 +115,7 @@ void AnnotationIndex::AddFile(const std::string& path,
       continue;
     }
 
-    if (t == "VSD_REQUIRES" || t == "VSD_ACQUIRES" || t == "VSD_EXCLUDES") {
+    if (t == "VSD_REQUIRES" || t == "VSD_EXCLUDES") {
       const size_t close = MatchForward(toks, k + 1, "(", ")");
       if (close >= toks.size()) continue;
       const std::string chain = WalkBackChain(toks, close - 1);
@@ -172,7 +172,6 @@ void AnnotationIndex::AddFile(const std::string& path,
           cls_entry(cls, toks[k].line).methods[method];
       const std::string id = cls + "::" + chain;
       if (t == "VSD_REQUIRES") mc.requires_held.insert(id);
-      else if (t == "VSD_ACQUIRES") mc.acquires.insert(id);
       else mc.excludes.insert(id);
       continue;
     }
@@ -243,8 +242,7 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
         CollectBodyLocals(toks, fn.body_open, fn.body_close);
     std::set<std::string> reported;
 
-    LockScanHooks hooks;
-    hooks.on_ident = [&](size_t k, const std::vector<HeldLock>& held) {
+    const auto on_ident = [&](size_t k, const std::vector<HeldLock>& held) {
       const auto holds = [&](const std::string& id) {
         for (const HeldLock& h : held) {
           if (h.id == id) return true;
@@ -321,7 +319,7 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
         }
       }
     };
-    ScanFunctionLocks(toks, fn, hooks,
+    ScanFunctionLocks(toks, fn, on_ident,
                       self != nullptr ? self->requires_held
                                       : std::set<std::string>());
   }

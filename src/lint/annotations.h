@@ -24,12 +24,15 @@
 ///  * unannotated-mutex  — a std::mutex member in src/ whose class has no
 ///                         VSD_GUARDED_BY fields guards nothing the linter
 ///                         can check; annotate or allow() with a reason.
-///  * ref-invalidation   — a reference/pointer/iterator bound into vector
-///                         or Tensor storage that stays live across a
+///  * ref-invalidation   — a reference/pointer/iterator bound directly
+///                         into vector or Tensor storage (`v[i]`, `&v[i]`,
+///                         `v.data()`, `v.back()`) that stays live across a
 ///                         mutating call on the same container
-///                         (push_back/resize/Append/clear/...) — the
-///                         static twin of the PR-7 Conv2d::BuildGraph
-///                         use-after-free.
+///                         (push_back/resize/Append/clear/...). A binding
+///                         made through an accessor call, the shape of the
+///                         Conv2d::BuildGraph use-after-free
+///                         (`builder->node(x).shape`), is not tracked:
+///                         ASan catches it in graph_exec_test.
 namespace vsd::lint {
 
 /// One class/struct body recovered from the token stream. `name` is the
@@ -47,11 +50,10 @@ struct ClassExtent {
 std::vector<ClassExtent> FindClassExtents(const std::vector<Token>& toks);
 
 /// Lock contract on one member function, parsed from trailing
-/// VSD_REQUIRES/VSD_ACQUIRES/VSD_EXCLUDES annotations. Lock names are
-/// canonical ("Replica::mu_").
+/// VSD_REQUIRES/VSD_EXCLUDES annotations. Lock names are canonical
+/// ("Replica::mu_").
 struct MethodContract {
   std::set<std::string> requires_held;  ///< Caller must hold these.
-  std::set<std::string> acquires;       ///< Acquired internally.
   std::set<std::string> excludes;       ///< Caller must NOT hold these.
 };
 

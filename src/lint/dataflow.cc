@@ -1,8 +1,6 @@
 #include "lint/dataflow.h"
 
 #include <algorithm>
-#include <functional>
-#include <sstream>
 #include <utility>
 
 #include "common/string_util.h"
@@ -238,7 +236,7 @@ std::vector<const DfFunction*> DataflowProgram::Resolve(
 }
 
 // ---------------------------------------------------------------------------
-// lock-order
+// Held-set walk (guarded-by)
 // ---------------------------------------------------------------------------
 
 const std::set<std::string>& GuardTypes() {
@@ -321,7 +319,7 @@ std::vector<std::string> GuardArgChains(const std::vector<Token>& toks,
 }
 
 void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
-                       const LockScanHooks& hooks,
+                       const IdentHook& on_ident,
                        const std::set<std::string>& initial) {
   const std::set<std::string> locals =
       CollectBodyLocals(toks, fn.body_open, fn.body_close);
@@ -366,16 +364,11 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
       const bool paren = toks[j].text == "(";
       const size_t close = paren ? MatchForward(toks, j, "(", ")")
                                  : MatchForward(toks, j, "{", "}");
-      std::vector<HeldLock> newly;
       for (const std::string& chain : GuardArgChains(toks, j, close)) {
-        const std::string id = LockId(fn, locals, chain);
-        if (hooks.on_acquire) hooks.on_acquire(id, toks[k].line, held);
-        newly.push_back(HeldLock{id, guard, depth, false});
+        const HeldLock h{LockId(fn, locals, chain), guard, depth, false};
+        held.push_back(h);
+        guards.push_back(h);
       }
-      // scoped_lock's own arguments acquire atomically: edges only from
-      // locks already held, never among the group — so push after.
-      held.insert(held.end(), newly.begin(), newly.end());
-      guards.insert(guards.end(), newly.begin(), newly.end());
       k = close;
       continue;
     }
@@ -399,7 +392,6 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
         for (const HeldLock& g : guards) {
           if (g.guard == chain) acquired = g;  // The innermost declaration.
         }
-        if (hooks.on_acquire) hooks.on_acquire(acquired.id, toks[k].line, held);
         held.push_back(acquired);
       } else {
         held.erase(std::remove_if(held.begin(), held.end(),
@@ -411,141 +403,8 @@ void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
       continue;
     }
 
-    if (hooks.on_ident) hooks.on_ident(k, held);
-
-    // Call made while holding a lock: candidate for one-level linking.
-    // Only bare / ::-qualified heads; member calls have unknown receivers.
-    if (hooks.on_call && !held.empty() && k + 1 < toks.size() &&
-        toks[k + 1].text == "(" && !HeadKeywords().count(t)) {
-      const std::string& prev = k > 0 ? toks[k - 1].text : std::string();
-      if (prev == "." || prev == "->") continue;
-      if (prev == "::" && IsStdQualified(toks, k)) continue;
-      hooks.on_call(t, toks[k].line, held);
-    }
+    on_ident(k, held);
   }
-}
-
-
-LockGraph BuildLockGraph(const DataflowProgram& program) {
-  const std::vector<DfFunction>& fns = program.functions();
-  const AnnotationIndex ann = BuildAnnotationIndex(program);
-
-  // Per-function REQUIRES set (held on entry) from annotations.
-  std::vector<std::set<std::string>> entry_held(fns.size());
-
-  // Pass 1: direct acquisitions per function (for one-level call linking).
-  // VSD_ACQUIRES contracts count as direct acquisitions even when the
-  // acquisition is not lexically recoverable in the body.
-  std::vector<std::set<std::string>> direct(fns.size());
-  std::map<const DfFunction*, size_t> index;
-  std::set<std::string> nodes;
-  for (size_t i = 0; i < fns.size(); ++i) {
-    index[&fns[i]] = i;
-    if (const MethodContract* c = ann.ContractFor(fns[i].qualifier,
-                                                  fns[i].name)) {
-      entry_held[i] = c->requires_held;
-      for (const std::string& id : c->requires_held) nodes.insert(id);
-      for (const std::string& id : c->acquires) {
-        direct[i].insert(id);
-        nodes.insert(id);
-      }
-    }
-    LockScanHooks hooks;
-    hooks.on_acquire = [&](const std::string& id, int,
-                           const std::vector<HeldLock>&) {
-      direct[i].insert(id);
-      nodes.insert(id);
-    };
-    ScanFunctionLocks(program.tokens(fns[i].file), fns[i], hooks);
-  }
-
-  // Pass 2: edges — direct nesting plus held-across-call acquisitions.
-  LockGraph graph;
-  std::set<std::pair<std::string, std::string>> seen;
-  auto add_edge = [&](const std::string& from, const std::string& to,
-                      const std::string& file, int line,
-                      const std::string& via) {
-    if (from == to) return;
-    if (!seen.insert({from, to}).second) return;
-    graph.edges.push_back(LockEdge{from, to, file, line, via});
-  };
-  for (size_t i = 0; i < fns.size(); ++i) {
-    // A function with no locks (direct or REQUIRES-seeded) adds nothing.
-    if (direct[i].empty() && entry_held[i].empty()) continue;
-    LockScanHooks hooks;
-    hooks.on_acquire = [&](const std::string& id, int line,
-                           const std::vector<HeldLock>& held) {
-      for (const HeldLock& h : held) add_edge(h.id, id, fns[i].file, line, "");
-    };
-    hooks.on_call = [&](const std::string& name, int line,
-                        const std::vector<HeldLock>& held) {
-      for (const DfFunction* callee : program.Resolve(fns[i], name)) {
-        for (const std::string& id : direct[index[callee]]) {
-          for (const HeldLock& h : held) {
-            add_edge(h.id, id, fns[i].file, line, name);
-          }
-        }
-      }
-    };
-    ScanFunctionLocks(program.tokens(fns[i].file), fns[i], hooks,
-                      entry_held[i]);
-  }
-  graph.nodes.assign(nodes.begin(), nodes.end());
-  std::sort(graph.edges.begin(), graph.edges.end(),
-            [](const LockEdge& a, const LockEdge& b) {
-              return a.from != b.from ? a.from < b.from : a.to < b.to;
-            });
-  return graph;
-}
-
-std::vector<Finding> CheckLockOrder(const LockGraph& graph) {
-  std::vector<std::pair<std::string, std::string>> edges;
-  edges.reserve(graph.edges.size());
-  for (const LockEdge& e : graph.edges) edges.emplace_back(e.from, e.to);
-  std::vector<Finding> findings;
-  for (const Cycle& cycle : FindCycles(graph.nodes, edges)) {
-    const LockEdge& e = graph.edges[cycle.closing_edge];
-    const std::string via =
-        e.via.empty() ? "" : " (via call to '" + e.via + "')";
-    findings.push_back(Finding{
-        e.file, e.line, "lock-order",
-        "lock acquisition cycle: " + cycle.Path() + via +
-            "; two threads taking these locks in opposite orders can "
-            "deadlock — impose one global acquisition order"});
-  }
-  return findings;
-}
-
-std::string DumpLockDot(const LockGraph& graph) {
-  std::ostringstream out;
-  out << "digraph vsd_locks {\n";
-  out << "  // Generated by `vsd_lint --dump-lock-graph`. An edge A -> B\n";
-  out << "  // means B is acquired while A is held; dashed edges go through\n";
-  out << "  // one call level. Any cycle is a potential deadlock.\n";
-  out << "  rankdir=LR;\n";
-  out << "  node [shape=box];\n";
-  for (const std::string& n : graph.nodes) {
-    out << "  \"" << n << "\";\n";
-  }
-  for (const LockEdge& e : graph.edges) {
-    out << "  \"" << e.from << "\" -> \"" << e.to << "\" [label=\"" << e.file
-        << ":" << e.line << "\"";
-    if (!e.via.empty()) out << ", style=dashed";
-    out << "];\n";
-  }
-  out << "}\n";
-  return out.str();
-}
-
-LockGraph BuildLockGraphFromTree(const std::string& root,
-                                 const std::vector<std::string>& subdirs) {
-  DataflowProgram program;
-  for (const std::string& rel : ListSourceFiles(root, subdirs)) {
-    std::string content;
-    if (!ReadFileToString(root, rel, &content)) continue;
-    program.AddFile(rel, Lex(content));
-  }
-  return BuildLockGraph(program);
 }
 
 // ---------------------------------------------------------------------------
@@ -655,8 +514,8 @@ std::vector<TaintSource> FindNondetSources(const std::string& path,
     }
   }
 
-  // Shared-Rng draws inside ParallelFor bodies (the flow-sensitive side of
-  // rng-fork: the *drawn value* is scheduling-dependent).
+  // Shared-Rng draws inside ParallelFor bodies: the drawn value is
+  // scheduling-dependent.
   for (size_t k : SharedRngDraws(toks, fn.body_open + 1, fn.body_close)) {
     seeds.push_back(TaintSource{k, toks[k].line,
                                 "shared Rng draw '" + toks[k - 2].text + "." +

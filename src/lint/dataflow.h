@@ -13,12 +13,9 @@
 /// Lightweight intraprocedural dataflow on top of the lexer (no parser, no
 /// types — see docs/INTERNALS.md "Dataflow analyses"). The engine recovers
 /// function extents from the token stream, builds a whole-program function
-/// table with call-site resolution, and runs three analyses over it:
+/// table with call-site resolution, and runs two analyses over it (plus the
+/// held-set walk that guarded-by uses, lint/annotations.h):
 ///
-///  * lock-order     — whole-program lock-acquisition graph; an edge A -> B
-///                     means B is acquired while A is held (including through
-///                     one level of resolved direct calls); any cycle is a
-///                     potential deadlock.
 ///  * nondet-taint   — values derived from nondeterministic sources (wall
 ///                     clocks, thread ids, shared-Rng draws in ParallelFor
 ///                     bodies, pointer-to-integer casts) are propagated
@@ -102,31 +99,21 @@ struct HeldLock {
   bool manual = false;  ///< Manual or REQUIRES: never popped by scope exit.
 };
 
-/// Callbacks of the held-set walk, each given the locks held at that point.
-struct LockScanHooks {
-  /// Each acquisition, before it joins the held set.
-  std::function<void(const std::string& id, int line,
-                     const std::vector<HeldLock>& held)>
-      on_acquire;
-  /// Each bare or ::-qualified call head (never std-like) made while
-  /// holding at least one lock: a candidate for one-level call linking.
-  std::function<void(const std::string& name, int line,
-                     const std::vector<HeldLock>& held)>
-      on_call;
-  /// Each identifier at token `k` that the walk does not consume as a
-  /// guard declaration or a lock()/unlock() call.
-  std::function<void(size_t k, const std::vector<HeldLock>& held)> on_ident;
-};
+/// Called for each identifier at token `k` that the held-set walk does not
+/// consume as a guard declaration or a lock()/unlock() call, with the locks
+/// held there.
+using IdentHook =
+    std::function<void(size_t k, const std::vector<HeldLock>& held)>;
 
 /// Walks `fn`'s body tracking the held set: guard declarations (popped
-/// with their brace depth), manual lock()/unlock() windows, and `initial`
-/// (VSD_REQUIRES contracts: held on entry, never popped). A re-lock
-/// through a guard variable whose mutex is held is skipped; after the
-/// guard's unlock() it re-acquires the guard's mutex, popped with the
-/// guard's scope. A re-lock of a held id by name is another acquisition
-/// and another entry.
+/// with their brace depth; a scoped_lock holds every argument), manual
+/// lock()/unlock() windows, and `initial` (VSD_REQUIRES contracts: held on
+/// entry, never popped). A re-lock through a guard variable whose mutex is
+/// held is skipped; after the guard's unlock() it re-acquires the guard's
+/// mutex, popped with the guard's scope. A re-lock of a held id by name is
+/// another acquisition and another entry.
 void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
-                       const LockScanHooks& hooks,
+                       const IdentHook& on_ident,
                        const std::set<std::string>& initial = {});
 
 /// Whole-program function table over the same file walk as the include
@@ -159,50 +146,12 @@ class DataflowProgram {
 };
 
 // ---------------------------------------------------------------------------
-// lock-order
-// ---------------------------------------------------------------------------
-
-/// Edge in the lock-acquisition graph: `to` is acquired (at file:line) while
-/// `from` is held. `via` names the callee when the acquisition happens one
-/// call level away rather than lexically inside the holder.
-struct LockEdge {
-  std::string from;
-  std::string to;
-  std::string file;
-  int line = 0;
-  std::string via;
-};
-
-struct LockGraph {
-  std::vector<std::string> nodes;  ///< Sorted canonical lock identities.
-  std::vector<LockEdge> edges;     ///< Deduped by (from, to), sorted.
-};
-
-/// Lock identities are canonical strings: members lock as "Class::name",
-/// locals/statics as "Function::name", file-scope mutexes in free functions
-/// as "file::name" — consistent naming is what makes cycles comparable
-/// across functions.
-LockGraph BuildLockGraph(const DataflowProgram& program);
-
-/// Cycles in the acquisition graph, one "lock-order" finding per distinct
-/// cycle at the edge that closes it.
-std::vector<Finding> CheckLockOrder(const LockGraph& graph);
-
-/// DOT export for `vsd_lint --dump-lock-graph` (mirrors DumpDot for the
-/// include graph). Call-linked edges are dashed.
-std::string DumpLockDot(const LockGraph& graph);
-
-/// Lex + AddFile over the standard tree walk, then BuildLockGraph.
-LockGraph BuildLockGraphFromTree(const std::string& root,
-                                 const std::vector<std::string>& subdirs);
-
-// ---------------------------------------------------------------------------
 // nondet-taint
 // ---------------------------------------------------------------------------
 
-// The nondeterminism source table. The lexical wall-clock, thread-id and
-// rng-fork rules (lint.cc) and nondet-taint all read it; each keeps its own
-// path scope and match condition.
+// The nondeterminism source table. The lexical wall-clock and thread-id
+// rules (lint.cc) and nondet-taint all read it; each keeps its own path
+// scope and match condition.
 
 /// Wall-clock reads (system_clock, ::time, localtime, ...). steady_clock is
 /// absent: it times durations that never enter result values.

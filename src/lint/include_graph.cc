@@ -125,6 +125,80 @@ std::vector<Finding> CheckLayering(const IncludeGraph& graph) {
   return findings;
 }
 
+namespace {
+
+/// One cycle of the include graph, as FindCycles reports it.
+struct Cycle {
+  std::vector<std::string> nodes;  ///< Rotated so the smallest node leads.
+  size_t closing_edge = 0;         ///< Index of the edge that closed it.
+
+  /// "a -> b -> a".
+  std::string Path() const {
+    std::string path;
+    for (const std::string& node : nodes) path += node + " -> ";
+    return path + nodes.front();
+  }
+};
+
+/// Every distinct cycle of the graph whose edges are (from, to) pairs: an
+/// iterative three-colour DFS from each of `nodes` in order, each node's
+/// edges taken in input order. A cycle is reported once, with the edge
+/// that closed it where the DFS first met it.
+std::vector<Cycle> FindCycles(
+    const std::vector<std::string>& nodes,
+    const std::vector<std::pair<std::string, std::string>>& edges) {
+  std::map<std::string, std::vector<size_t>> adj;
+  for (size_t e = 0; e < edges.size(); ++e) adj[edges[e].first].push_back(e);
+
+  enum class Color { kWhite, kGray, kBlack };
+  std::map<std::string, Color> color;
+  for (const std::string& node : nodes) color[node] = Color::kWhite;
+
+  std::vector<Cycle> cycles;
+  std::set<std::vector<std::string>> reported;
+  struct Frame {
+    std::string node;
+    size_t next_edge = 0;
+  };
+  for (const std::string& start : nodes) {
+    if (color[start] != Color::kWhite) continue;
+    std::vector<Frame> stack{{start, 0}};
+    // Mirrors the gray stack, for cycle extraction.
+    std::vector<std::string> path{start};
+    color[start] = Color::kGray;
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      const std::vector<size_t>& out = adj[frame.node];
+      if (frame.next_edge >= out.size()) {
+        color[frame.node] = Color::kBlack;
+        stack.pop_back();
+        path.pop_back();
+        continue;
+      }
+      const size_t e = out[frame.next_edge++];
+      const std::string& to = edges[e].second;
+      Color& to_color = color[to];
+      if (to_color == Color::kWhite) {
+        to_color = Color::kGray;
+        stack.push_back(Frame{to, 0});
+        path.push_back(to);
+      } else if (to_color == Color::kGray) {
+        // The path from `to` to the top, closed by edge e.
+        Cycle cycle{{std::find(path.begin(), path.end(), to), path.end()}, e};
+        std::rotate(cycle.nodes.begin(),
+                    std::min_element(cycle.nodes.begin(), cycle.nodes.end()),
+                    cycle.nodes.end());
+        if (reported.insert(cycle.nodes).second) {
+          cycles.push_back(std::move(cycle));
+        }
+      }
+    }
+  }
+  return cycles;
+}
+
+}  // namespace
+
 std::vector<Finding> CheckCycles(const IncludeGraph& graph) {
   std::vector<std::pair<std::string, std::string>> edges;
   edges.reserve(graph.edges.size());

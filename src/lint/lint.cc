@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "lint/annotations.h"
-#include "lint/captures.h"
 #include "lint/dataflow.h"
 #include "lint/include_graph.h"
 #include "lint/lexer.h"
@@ -76,25 +75,6 @@ void CheckRawRand(const FileCtx& ctx) {
                "'" + toks[i].text +
                    "' bypasses vsd::Rng; all randomness must flow through "
                    "src/common/rng.* so runs stay bit-reproducible");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// rng-fork: drawing from an Rng that was captured by reference inside a
-// ParallelFor/ParallelMap body is both a data race (Rng::Next mutates state)
-// and nondeterministic (draw order depends on scheduling). The sanctioned
-// pattern forks one child stream per iteration index *before* the loop and
-// indexes it inside (streams[i].Uniform()), or declares a body-local Rng.
-// ---------------------------------------------------------------------------
-void CheckRngFork(const FileCtx& ctx) {
-  const auto& toks = ctx.lex.tokens;
-  for (size_t k : SharedRngDraws(toks, 0, toks.size())) {
-    ctx.Report(toks[k].line, "rng-fork",
-               "'" + toks[k - 2].text + "." + toks[k].text +
-                   "()' inside a ParallelFor/ParallelMap body draws from a "
-                   "shared Rng (data race + scheduling-dependent results); "
-                   "Fork() per-index streams before the loop or declare a "
-                   "body-local Rng");
   }
 }
 
@@ -571,75 +551,14 @@ std::string Finding::ToString() const {
   return file + ":" + std::to_string(line) + ": [" + rule + "] " + message;
 }
 
-std::string Cycle::Path() const {
-  std::string path;
-  for (const std::string& node : nodes) path += node + " -> ";
-  return path + nodes.front();
-}
-
-std::vector<Cycle> FindCycles(
-    const std::vector<std::string>& nodes,
-    const std::vector<std::pair<std::string, std::string>>& edges) {
-  std::map<std::string, std::vector<size_t>> adj;
-  for (size_t e = 0; e < edges.size(); ++e) adj[edges[e].first].push_back(e);
-
-  enum class Color { kWhite, kGray, kBlack };
-  std::map<std::string, Color> color;
-  for (const std::string& node : nodes) color[node] = Color::kWhite;
-
-  std::vector<Cycle> cycles;
-  std::set<std::vector<std::string>> reported;
-  struct Frame {
-    std::string node;
-    size_t next_edge = 0;
-  };
-  for (const std::string& start : nodes) {
-    if (color[start] != Color::kWhite) continue;
-    std::vector<Frame> stack{{start, 0}};
-    // Mirrors the gray stack, for cycle extraction.
-    std::vector<std::string> path{start};
-    color[start] = Color::kGray;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const std::vector<size_t>& out = adj[frame.node];
-      if (frame.next_edge >= out.size()) {
-        color[frame.node] = Color::kBlack;
-        stack.pop_back();
-        path.pop_back();
-        continue;
-      }
-      const size_t e = out[frame.next_edge++];
-      const std::string& to = edges[e].second;
-      Color& to_color = color[to];
-      if (to_color == Color::kWhite) {
-        to_color = Color::kGray;
-        stack.push_back(Frame{to, 0});
-        path.push_back(to);
-      } else if (to_color == Color::kGray) {
-        // The path from `to` to the top, closed by edge e.
-        Cycle cycle{{std::find(path.begin(), path.end(), to), path.end()}, e};
-        std::rotate(cycle.nodes.begin(),
-                    std::min_element(cycle.nodes.begin(), cycle.nodes.end()),
-                    cycle.nodes.end());
-        if (reported.insert(cycle.nodes).second) {
-          cycles.push_back(std::move(cycle));
-        }
-      }
-    }
-  }
-  return cycles;
-}
-
 const std::vector<std::string>& AllRules() {
   static const std::vector<std::string> kRules = {
-      "raw-rand",       "rng-fork",      "float-eq",
-      "header-guard",   "include-order", "unordered-iter",
-      "per-sample-predict", "blocking-wait-no-deadline",
-      "unguarded-capture",  "wall-clock", "thread-id",
+      "raw-rand",       "float-eq",      "header-guard",
+      "include-order",  "unordered-iter", "per-sample-predict",
+      "blocking-wait-no-deadline", "wall-clock", "thread-id",
       "pointer-key",    "layering",      "include-cycle",
-      "lock-order",     "nondet-taint",  "hot-path-alloc",
-      "kernel-bypass",  "guarded-by",    "unannotated-mutex",
-      "ref-invalidation",
+      "nondet-taint",   "hot-path-alloc", "kernel-bypass",
+      "guarded-by",     "unannotated-mutex", "ref-invalidation",
   };
   return kRules;
 }
@@ -658,15 +577,14 @@ bool IsSuppressed(const Finding& f,
 }
 
 /// All per-file checks over an already-lexed file, raw (no suppression
-/// filtering, unsorted). The whole-program rules (layering, include-cycle,
-/// lock-order, hot-path-alloc) need the full tree and live in
-/// ProgramFindings / LintTree.
+/// filtering, unsorted). The whole-program rules (layering, include-cycle
+/// and the dataflow rules) need the full tree and live in ProgramFindings /
+/// LintTree.
 std::vector<Finding> CollectFileFindings(const std::string& path,
                                          const LexResult& lex) {
   std::vector<Finding> findings;
   FileCtx ctx{path, lex, &findings};
   CheckRawRand(ctx);
-  CheckRngFork(ctx);
   CheckFloatEq(ctx);
   CheckHeaderGuard(ctx);
   CheckIncludeOrder(ctx);
@@ -677,7 +595,6 @@ std::vector<Finding> CollectFileFindings(const std::string& path,
   CheckThreadId(ctx);
   CheckPointerKey(ctx);
   CheckKernelBypass(ctx);
-  CheckUnguardedCaptures(path, lex, &findings);
   for (Finding& f : CheckNondetTaint(path, lex)) {
     findings.push_back(std::move(f));
   }
@@ -687,9 +604,6 @@ std::vector<Finding> CollectFileFindings(const std::string& path,
 /// The whole-program dataflow rules, raw.
 std::vector<Finding> ProgramFindings(const DataflowProgram& program) {
   std::vector<Finding> findings = CheckHotPathAlloc(program);
-  for (Finding& f : CheckLockOrder(BuildLockGraph(program))) {
-    findings.push_back(std::move(f));
-  }
   const AnnotationIndex ann = BuildAnnotationIndex(program);
   for (Finding& f : CheckGuardedBy(program, ann)) {
     findings.push_back(std::move(f));

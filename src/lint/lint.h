@@ -19,27 +19,8 @@ struct Finding {
   std::string ToString() const;
 };
 
-/// One cycle of a directed graph, as FindCycles reports it.
-struct Cycle {
-  std::vector<std::string> nodes;  ///< Rotated so the smallest node leads.
-  size_t closing_edge = 0;         ///< Index of the edge that closed it.
-
-  /// "a -> b -> a".
-  std::string Path() const;
-};
-
-/// Every distinct cycle of the graph whose edges are (from, to) pairs, for
-/// the include-cycle and lock-order rules: an iterative three-colour DFS
-/// from each of `nodes` in order, each node's edges taken in input order.
-/// A cycle is reported once, with the edge that closed it where the DFS
-/// first met it.
-std::vector<Cycle> FindCycles(
-    const std::vector<std::string>& nodes,
-    const std::vector<std::pair<std::string, std::string>>& edges);
-
 /// Rule names (see docs/INTERNALS.md "Static analysis & sanitizers"):
 ///  * raw-rand        — std:: random machinery outside src/common/rng.*
-///  * rng-fork        — shared Rng drawn from inside a ParallelFor body
 ///  * float-eq        — ==/!= on floating-point in metrics/math_util paths
 ///  * header-guard    — header missing #pragma once / include guard
 ///  * include-order   — include group mixes <>/"" kinds or is unsorted
@@ -48,8 +29,6 @@ std::vector<Cycle> FindCycles(
 ///  * blocking-wait-no-deadline — predicate-less cv wait() / future get()
 ///    in src/serve/ (every serving-layer wait must be bounded or
 ///    predicated: wait_for/wait_until/wait(lock, pred))
-///  * unguarded-capture — by-reference capture written in a ParallelFor/
-///    Submit body without mutex/atomic/per-index subscript (captures.h)
 ///  * wall-clock     — wall-clock reads (system_clock, time, ...) in result
 ///    paths; results must not depend on when they were computed
 ///  * thread-id      — thread identity (get_id, pthread_self) in result
@@ -59,9 +38,6 @@ std::vector<Cycle> FindCycles(
 ///  * layering       — upward #include across the architecture layers
 ///    (include_graph.h; tree-level, reported by LintTree)
 ///  * include-cycle  — cycle in the project include graph (tree-level)
-///  * lock-order     — cycle in the whole-program lock-acquisition graph
-///    (dataflow.h; an edge A -> B means B acquired while A held, including
-///    through one level of direct calls — a cycle is a potential deadlock)
 ///  * nondet-taint   — value derived from a nondeterministic source (wall
 ///    clock, thread id, shared-Rng draw, pointer-to-int cast) flows through
 ///    assignments/container inserts into a result sink (dataflow.h)
@@ -79,10 +55,13 @@ std::vector<Cycle> FindCycles(
 ///    VSD_REQUIRES/VSD_EXCLUDES contract (annotations.h)
 ///  * unannotated-mutex — a mutex member in src/ whose class has zero
 ///    VSD_GUARDED_BY fields: the lock guards nothing the linter can check
-///  * ref-invalidation — reference/pointer/iterator bound into vector or
-///    Tensor storage used after a mutating call (push_back/resize/Append/
-///    clear/...) on the same container, including through one same-class
-///    call level — the static twin of the PR-7 Conv2d use-after-free
+///  * ref-invalidation — reference/pointer/iterator bound directly into
+///    vector or Tensor storage (`v[i]`, `&v[i]`, `v.data()`, `v.back()`)
+///    used after a mutating call (push_back/resize/Append/clear/...) on the
+///    same container, including through one same-class call level. A
+///    binding made through an accessor call (`builder->node(x).shape`,
+///    `Operand(a)`: the shape of the Conv2d::BuildGraph use-after-free) is
+///    not tracked; ASan catches that shape in graph_exec_test
 ///
 /// All rule names, for CLI validation and tests.
 const std::vector<std::string>& AllRules();

@@ -170,32 +170,12 @@ Var FoundationModel::BernoulliSetLogProbVar(
   return ag::RowSum(ag::Neg(nll));
 }
 
-Var FoundationModel::MaskRows(const std::vector<AuMask>& masks) {
-  Tensor rows({static_cast<int>(masks.size()), kNumAus});
-  for (size_t i = 0; i < masks.size(); ++i) {
-    for (int j = 0; j < kNumAus; ++j) {
-      rows.at(static_cast<int>(i), j) = masks[i][j] ? 1.0f : 0.0f;
-    }
-  }
-  return Var(rows);
-}
-
-Var FoundationModel::OneHotRows(const std::vector<int>& labels,
-                                int classes) {
-  Tensor rows({static_cast<int>(labels.size()), classes});
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] >= 0 && labels[i] < classes) {
-      rows.at(static_cast<int>(i), labels[i]) = 1.0f;
-    }
-  }
-  return Var(rows);
-}
-
 namespace {
 
 // The fill helpers write EVERY slot: executor arenas are reused across
 // executions, so any skipped slot would read a stale value from the
-// previous batch.
+// previous batch. MaskRows and OneHotRows fill their tensors with them
+// too.
 
 void FillInput(const nn::graph::CompiledForward::Lease& lease, int index,
                const Tensor& rows) {
@@ -230,6 +210,19 @@ Tensor CopyOutput(const nn::graph::CompiledForward::Lease& lease, int n,
 }
 
 }  // namespace
+
+Var FoundationModel::MaskRows(const std::vector<AuMask>& masks) {
+  Tensor rows({static_cast<int>(masks.size()), kNumAus});
+  FillMaskRows(masks, rows.data());
+  return Var(rows);
+}
+
+Var FoundationModel::OneHotRows(const std::vector<int>& labels,
+                                int classes) {
+  Tensor rows({static_cast<int>(labels.size()), classes});
+  FillOneHotRows(labels, classes, rows.data());
+  return Var(rows);
+}
 
 int FoundationModel::BuildTrunkGraph(nn::graph::GraphBuilder* builder,
                                      int n) const {
@@ -734,12 +727,7 @@ Var FoundationModel::DescribeLoss(
     // Rows are (f_e, f_l) interleaved, so a reshape pairs them per sample.
     features = ag::Reshape(frame_embeds, {n, 2 * config_.vision_dim});
   } else {
-    Tensor rows({n, 2 * config_.vision_dim});
-    for (int i = 0; i < n; ++i) {
-      Tensor f = VideoFeature(*batch[i]);
-      for (int j = 0; j < f.size(); ++j) rows.at(i, j) = f.at(j);
-    }
-    features = Var(rows);
+    features = Var(VideoFeatureRows(batch));
   }
   Var logits = DescribeLogitsVar(TrunkForward(features));
   Var mask_rows = MaskRows(targets);
@@ -755,35 +743,11 @@ Var FoundationModel::AssessLoss(
   VSD_CHECK(batch.size() == descriptions.size() &&
             batch.size() == labels.size())
       << "AssessLoss batch mismatch";
-  const int n = static_cast<int>(batch.size());
-  Tensor rows({n, 2 * config_.vision_dim});
-  for (int i = 0; i < n; ++i) {
-    Tensor f = VideoFeature(*batch[i]);
-    for (int j = 0; j < f.size(); ++j) rows.at(i, j) = f.at(j);
-  }
-  Var hidden = TrunkForward(Var(rows));
+  Var hidden = TrunkForward(Var(VideoFeatureRows(batch)));
   Var logits = AssessLogitsVar(hidden, DescribeLogitsVar(hidden),
                                MaskRows(descriptions));
   return ag::SoftmaxCrossEntropy(logits, labels);
 }
-
-namespace {
-
-/// Stacks cached features of a batch into [N, dim] rows.
-Tensor StackFeatures(const FoundationModel& model,
-                     const std::vector<const data::VideoSample*>& batch,
-                     int dim) {
-  Tensor rows({static_cast<int>(batch.size()), dim});
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Tensor f = model.VideoFeature(*batch[i]);
-    for (int j = 0; j < f.size(); ++j) {
-      rows.at(static_cast<int>(i), j) = f.at(j);
-    }
-  }
-  return rows;
-}
-
-}  // namespace
 
 Var FoundationModel::HighlightLoss(
     const std::vector<const data::VideoSample*>& batch,
@@ -791,8 +755,7 @@ Var FoundationModel::HighlightLoss(
     const std::vector<int>& assessments,
     const std::vector<AuMask>& targets) const {
   VSD_CHECK(batch.size() == targets.size()) << "HighlightLoss batch mismatch";
-  Tensor rows = StackFeatures(*this, batch, 2 * config_.vision_dim);
-  Var hidden = TrunkForward(Var(rows));
+  Var hidden = TrunkForward(Var(VideoFeatureRows(batch)));
   Var logits = HighlightLogitsVar(hidden, MaskRows(descriptions),
                                   OneHotRows(assessments, 2));
   Var mask_rows = MaskRows(targets);
@@ -806,16 +769,13 @@ Var FoundationModel::DpoDescribeLoss(
     const FoundationModel& reference, float beta) const {
   VSD_CHECK(batch.size() == winners.size() && batch.size() == losers.size())
       << "DpoDescribeLoss batch mismatch";
-  Tensor rows = StackFeatures(*this, batch, 2 * config_.vision_dim);
-  Var logits = DescribeLogitsVar(TrunkForward(Var(rows)));
+  Var logits = DescribeLogitsVar(TrunkForward(Var(VideoFeatureRows(batch))));
   Var lw = BernoulliSetLogProbVar(logits, winners);
   Var ll = BernoulliSetLogProbVar(logits, losers);
 
   // Reference log-probs are constants (frozen model).
-  Tensor ref_rows = StackFeatures(reference, batch,
-                                  2 * reference.config_.vision_dim);
-  Var ref_logits =
-      reference.DescribeLogitsVar(reference.TrunkForward(Var(ref_rows)));
+  Var ref_logits = reference.DescribeLogitsVar(
+      reference.TrunkForward(Var(reference.VideoFeatureRows(batch))));
   Var ref_lw = BernoulliSetLogProbVar(ref_logits, winners);
   Var ref_ll = BernoulliSetLogProbVar(ref_logits, losers);
   Var ref_delta = Var(tensor::Sub(ref_lw.value(), ref_ll.value()));
@@ -833,16 +793,14 @@ Var FoundationModel::DpoRationaleLoss(
     float beta) const {
   VSD_CHECK(batch.size() == winners.size() && batch.size() == losers.size())
       << "DpoRationaleLoss batch mismatch";
-  Tensor rows = StackFeatures(*this, batch, 2 * config_.vision_dim);
-  Var hidden = TrunkForward(Var(rows));
+  Var hidden = TrunkForward(Var(VideoFeatureRows(batch)));
   Var logits = HighlightLogitsVar(hidden, MaskRows(descriptions),
                                   OneHotRows(assessments, 2));
   Var lw = BernoulliSetLogProbVar(logits, winners);
   Var ll = BernoulliSetLogProbVar(logits, losers);
 
-  Tensor ref_rows = StackFeatures(reference, batch,
-                                  2 * reference.config_.vision_dim);
-  Var ref_hidden = reference.TrunkForward(Var(ref_rows));
+  Var ref_hidden =
+      reference.TrunkForward(Var(reference.VideoFeatureRows(batch)));
   Var ref_logits = reference.HighlightLogitsVar(
       ref_hidden, MaskRows(descriptions), OneHotRows(assessments, 2));
   Var ref_lw = BernoulliSetLogProbVar(ref_logits, winners);

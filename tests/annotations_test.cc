@@ -73,7 +73,6 @@ TEST(AnnotationIndexTest, CollectsGuardedFieldsMutexesAndContracts) {
      public:
       void CutLocked() VSD_REQUIRES(mu_);
       void Process() VSD_EXCLUDES(mu_);
-      void Lock() VSD_ACQUIRES(mu_);
 
      private:
       mutable std::mutex mu_;
@@ -98,9 +97,6 @@ TEST(AnnotationIndexTest, CollectsGuardedFieldsMutexesAndContracts) {
   const MethodContract* process = index.ContractFor("Replica", "Process");
   ASSERT_NE(process, nullptr);
   EXPECT_EQ(process->excludes.count("Replica::mu_"), 1u);
-  const MethodContract* lock = index.ContractFor("Replica", "Lock");
-  ASSERT_NE(lock, nullptr);
-  EXPECT_EQ(lock->acquires.count("Replica::mu_"), 1u);
 }
 
 TEST(AnnotationIndexTest, ContractSurvivesTrailingSpecifiers) {
@@ -183,10 +179,9 @@ TEST(CheckGuardedByTest, GuardedAccessInOutOfClassBodyIsTracked) {
   EXPECT_TRUE(CheckGuardedBy(program, index).empty());
 }
 
-// guarded-by and lock-order share one held-set walk, which counts a
-// re-lock by name of a mutex a guard holds as one more hold: it outlives
-// the guard's scope (a recursive mutex stays locked there) until an
-// unlock() releases every hold of it.
+// The held-set walk counts a re-lock by name of a mutex a guard holds as
+// one more hold: it outlives the guard's scope (a recursive mutex stays
+// locked there) until an unlock() releases every hold of it.
 TEST(CheckGuardedByTest, NamedRelockOutlivesItsGuardScope) {
   DataflowProgram program;
   program.AddFile("src/x/c.cc", Lex(R"cc(

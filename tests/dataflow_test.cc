@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "lint/annotations.h"
 #include "lint/lexer.h"
 #include "lint/lint.h"
 
@@ -130,34 +131,41 @@ TEST(DataflowProgramTest, ResolvePrefersClassThenFileAndDropsAmbiguous) {
   EXPECT_EQ(unique[0]->file, "c.cc");
 }
 
-// -------------------------------------------------------------- lock-order ----
+// ----------------------------------------------------------- held-set walk ----
 
-TEST(LockGraphTest, NestedGuardsMakeAnEdgeAndOpposingOrdersMakeACycle) {
-  DataflowProgram program;
-  program.AddFile("x.cc", Lex(R"cc(
-    std::mutex a;
-    std::mutex b;
-    void First() {
-      std::lock_guard<std::mutex> ga(a);
-      std::lock_guard<std::mutex> gb(b);
-    }
-    void Second() {
-      std::lock_guard<std::mutex> gb(b);
-      std::lock_guard<std::mutex> ga(a);
-    }
-  )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  ASSERT_EQ(graph.edges.size(), 2u);
-  EXPECT_EQ(graph.edges[0].from, "x.cc::a");
-  EXPECT_EQ(graph.edges[0].to, "x.cc::b");
-  EXPECT_EQ(graph.edges[1].from, "x.cc::b");
-  EXPECT_EQ(graph.edges[1].to, "x.cc::a");
+// The LockGraphTest cases pin ScanFunctionLocks, the held-set walk the
+// former lock-order graph was built from and guarded-by checks accesses
+// against.
 
-  const std::vector<Finding> cycles = CheckLockOrder(graph);
-  ASSERT_EQ(cycles.size(), 1u);
-  EXPECT_EQ(cycles[0].rule, "lock-order");
-  EXPECT_NE(cycles[0].message.find("deadlock"), std::string::npos);
+// The held set at each `Probe` identifier in `qualified`'s body, in token
+// order. `initial` seeds it the way a VSD_REQUIRES contract does.
+std::vector<std::vector<HeldLock>> HeldAtProbes(
+    const DataflowProgram& program, const std::string& qualified,
+    const std::set<std::string>& initial = {}) {
+  std::vector<std::vector<HeldLock>> probes;
+  const DfFunction* fn = FindFn(program.functions(), qualified);
+  if (fn == nullptr) {
+    ADD_FAILURE() << "no function " << qualified;
+    return probes;
+  }
+  const std::vector<Token>& toks = program.tokens(fn->file);
+  ScanFunctionLocks(
+      toks, *fn,
+      [&](size_t k, const std::vector<HeldLock>& held) {
+        if (toks[k].text == "Probe") probes.push_back(held);
+      },
+      initial);
+  return probes;
 }
+
+// Lock ids of a held set, in acquisition order.
+std::vector<std::string> Ids(const std::vector<HeldLock>& held) {
+  std::vector<std::string> ids;
+  for (const HeldLock& h : held) ids.push_back(h.id);
+  return ids;
+}
+
+using Strings = std::vector<std::string>;
 
 TEST(LockGraphTest, SequentialScopesDoNotMakeAnEdge) {
   DataflowProgram program;
@@ -165,13 +173,17 @@ TEST(LockGraphTest, SequentialScopesDoNotMakeAnEdge) {
     std::mutex a;
     std::mutex b;
     void Sequential() {
-      { std::lock_guard<std::mutex> ga(a); }
-      { std::lock_guard<std::mutex> gb(b); }
+      { std::lock_guard<std::mutex> ga(a); Probe(); }
+      { std::lock_guard<std::mutex> gb(b); Probe(); }
+      Probe();
     }
   )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  EXPECT_EQ(graph.nodes.size(), 2u);
-  EXPECT_TRUE(graph.edges.empty());
+  // Each guard pops with its block: `a` is never held while `b` is.
+  const auto probes = HeldAtProbes(program, "Sequential");
+  ASSERT_EQ(probes.size(), 3u);
+  EXPECT_EQ(Ids(probes[0]), Strings{"x.cc::a"});
+  EXPECT_EQ(Ids(probes[1]), Strings{"x.cc::b"});
+  EXPECT_TRUE(probes[2].empty());
 }
 
 TEST(LockGraphTest, ScopedLockArgumentsAcquireAtomically) {
@@ -179,12 +191,22 @@ TEST(LockGraphTest, ScopedLockArgumentsAcquireAtomically) {
   program.AddFile("x.cc", Lex(R"cc(
     std::mutex a;
     std::mutex b;
-    void Both() { std::scoped_lock g(a, b); }
+    void Both() {
+      { std::scoped_lock g(a, std::adopt_lock, b); Probe(); }
+      Probe();
+    }
   )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  EXPECT_EQ(graph.nodes.size(), 2u);
-  // No edges among the group: std::scoped_lock deadlock-avoids internally.
-  EXPECT_TRUE(graph.edges.empty());
+  // One declaration holds every argument (lock tags skipped) under one
+  // guard, and all of them pop together.
+  const auto probes = HeldAtProbes(program, "Both");
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_EQ(Ids(probes[0]), (Strings{"x.cc::a", "x.cc::b"}));
+  for (const HeldLock& h : probes[0]) {
+    EXPECT_EQ(h.guard, "g");
+    EXPECT_EQ(h.depth, 1);
+    EXPECT_FALSE(h.manual);
+  }
+  EXPECT_TRUE(probes[1].empty());
 }
 
 TEST(LockGraphTest, ManualUnlockReleasesTheLock) {
@@ -196,18 +218,28 @@ TEST(LockGraphTest, ManualUnlockReleasesTheLock) {
       a.lock();
       a.unlock();
       std::lock_guard<std::mutex> gb(b);
+      Probe();
     }
     void StillHeld() {
-      a.lock();
+      { a.lock(); }
       std::lock_guard<std::mutex> gb(b);
+      Probe();
       a.unlock();
+      Probe();
     }
   )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  // Only StillHeld contributes an edge; Released dropped `a` first.
-  ASSERT_EQ(graph.edges.size(), 1u);
-  EXPECT_EQ(graph.edges[0].from, "x.cc::a");
-  EXPECT_EQ(graph.edges[0].to, "x.cc::b");
+  // Released dropped `a` before taking `b`.
+  const auto released = HeldAtProbes(program, "Released");
+  ASSERT_EQ(released.size(), 1u);
+  EXPECT_EQ(Ids(released[0]), Strings{"x.cc::b"});
+
+  // A manual hold outlives the block it was taken in, until unlock().
+  const auto still = HeldAtProbes(program, "StillHeld");
+  ASSERT_EQ(still.size(), 2u);
+  EXPECT_EQ(Ids(still[0]), (Strings{"x.cc::a", "x.cc::b"}));
+  EXPECT_TRUE(still[0][0].manual);
+  EXPECT_EQ(still[0][0].guard, "");
+  EXPECT_EQ(Ids(still[1]), Strings{"x.cc::b"});
 }
 
 TEST(LockGraphTest, DeferredGuardRelockAcquiresItsMutex) {
@@ -218,33 +250,20 @@ TEST(LockGraphTest, DeferredGuardRelockAcquiresItsMutex) {
     void Relock() {
       std::unique_lock<std::mutex> lock(a);
       lock.unlock();
+      Probe();
+      lock.lock();
       lock.lock();
       std::lock_guard<std::mutex> gb(b);
+      Probe();
     }
   )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  EXPECT_EQ(graph.nodes.size(), 2u);
-  ASSERT_EQ(graph.edges.size(), 1u);
-  EXPECT_EQ(graph.edges[0].from, "x.cc::a");
-  EXPECT_EQ(graph.edges[0].to, "x.cc::b");
-}
-
-TEST(LockGraphTest, AcquisitionInACalleeLinksOneLevelDeep) {
-  DataflowProgram program;
-  program.AddFile("x.cc", Lex(R"cc(
-    std::mutex outer_mu;
-    std::mutex inner_mu;
-    void Inner() { std::lock_guard<std::mutex> g(inner_mu); }
-    void Outer() {
-      std::lock_guard<std::mutex> g(outer_mu);
-      Inner();
-    }
-  )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  ASSERT_EQ(graph.edges.size(), 1u);
-  EXPECT_EQ(graph.edges[0].from, "x.cc::outer_mu");
-  EXPECT_EQ(graph.edges[0].to, "x.cc::inner_mu");
-  EXPECT_EQ(graph.edges[0].via, "Inner");
+  // The guard variable's unlock() releases `a`; its lock() takes `a` back
+  // (not a lock named after the guard), once while it is held.
+  const auto probes = HeldAtProbes(program, "Relock");
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_TRUE(probes[0].empty());
+  EXPECT_EQ(Ids(probes[1]), (Strings{"x.cc::a", "x.cc::b"}));
+  EXPECT_EQ(probes[1][0].guard, "lock");
 }
 
 TEST(LockGraphTest, MemberMutexesAreCanonicalizedPerClass) {
@@ -253,24 +272,24 @@ TEST(LockGraphTest, MemberMutexesAreCanonicalizedPerClass) {
     void Pool::Submit() {
       std::lock_guard<std::mutex> g1(submit_mu_);
       std::lock_guard<std::mutex> g2(mu_);
+      Probe();
     }
   )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  ASSERT_EQ(graph.edges.size(), 1u);
-  EXPECT_EQ(graph.edges[0].from, "Pool::submit_mu_");
-  EXPECT_EQ(graph.edges[0].to, "Pool::mu_");
+  const auto probes = HeldAtProbes(program, "Pool::Submit");
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_EQ(Ids(probes[0]), (Strings{"Pool::submit_mu_", "Pool::mu_"}));
 }
 
 TEST(LockGraphTest, RequiresAnnotationSeedsTheHeldSet) {
-  // A VSD_REQUIRES(mu_) function acquires nothing itself, but any lock it
-  // takes inside must order after the annotated one — the annotation
-  // contributes the same edge a visible lock_guard would.
+  // A VSD_REQUIRES(mu_) function acquires nothing itself, but mu_ is held
+  // for its whole body: before, under and after any lock it takes inside.
   DataflowProgram program;
   program.AddFile("x.cc", Lex(R"cc(
     class Pool {
      public:
       void DrainLocked() VSD_REQUIRES(mu_) {
-        std::lock_guard<std::mutex> g(log_mu_);
+        { std::lock_guard<std::mutex> g(log_mu_); Probe(); }
+        Probe();
       }
 
      private:
@@ -278,55 +297,17 @@ TEST(LockGraphTest, RequiresAnnotationSeedsTheHeldSet) {
       std::mutex log_mu_;
     };
   )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  ASSERT_EQ(graph.edges.size(), 1u);
-  EXPECT_EQ(graph.edges[0].from, "Pool::mu_");
-  EXPECT_EQ(graph.edges[0].to, "Pool::log_mu_");
-}
+  const AnnotationIndex index = BuildAnnotationIndex(program);
+  const MethodContract* contract = index.ContractFor("Pool", "DrainLocked");
+  ASSERT_NE(contract, nullptr);
+  EXPECT_EQ(contract->requires_held, std::set<std::string>{"Pool::mu_"});
 
-TEST(LockGraphTest, AcquiresAnnotationCountsAsADirectAcquisition) {
-  // An opposing order expressed half in code, half via VSD_ACQUIRES still
-  // closes the deadlock cycle. (Contracts are member-scoped: the index is
-  // keyed by class, so free functions cannot carry one.)
-  DataflowProgram program;
-  program.AddFile("x.cc", Lex(R"cc(
-    class S {
-     public:
-      void TakesB() VSD_ACQUIRES(b_mu_) { }
-      void Forward() {
-        std::lock_guard<std::mutex> g(a_mu_);
-        TakesB();
-      }
-      void Backward() {
-        std::lock_guard<std::mutex> g(b_mu_);
-        std::lock_guard<std::mutex> h(a_mu_);
-      }
-
-     private:
-      std::mutex a_mu_;
-      std::mutex b_mu_;
-    };
-  )cc"));
-  const LockGraph graph = BuildLockGraph(program);
-  const std::vector<Finding> cycles = CheckLockOrder(graph);
-  ASSERT_EQ(cycles.size(), 1u);
-  EXPECT_EQ(cycles[0].rule, "lock-order");
-}
-
-TEST(LockGraphTest, DumpLockDotEmitsNodesAndLabeledEdges) {
-  DataflowProgram program;
-  program.AddFile("x.cc", Lex(R"cc(
-    std::mutex a;
-    std::mutex b;
-    void First() {
-      std::lock_guard<std::mutex> ga(a);
-      std::lock_guard<std::mutex> gb(b);
-    }
-  )cc"));
-  const std::string dot = DumpLockDot(BuildLockGraph(program));
-  EXPECT_NE(dot.find("digraph vsd_locks"), std::string::npos);
-  EXPECT_NE(dot.find("\"x.cc::a\" -> \"x.cc::b\""), std::string::npos);
-  EXPECT_NE(dot.find("x.cc:"), std::string::npos);  // Edge label file:line.
+  const auto probes =
+      HeldAtProbes(program, "Pool::DrainLocked", contract->requires_held);
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_EQ(Ids(probes[0]), (Strings{"Pool::mu_", "Pool::log_mu_"}));
+  EXPECT_EQ(Ids(probes[1]), Strings{"Pool::mu_"});
+  EXPECT_TRUE(probes[1][0].manual);
 }
 
 // ------------------------------------------------------------ nondet-taint ----
@@ -356,12 +337,73 @@ TEST(FindNondetSourcesTest, NamesAloneAreNotSources) {
     void F(Rng& rng) {
       int time = 3;        // A local *named* time is not a clock read.
       int clock = time;
-      double x = rng.Uniform();  // Draw outside ParallelFor: rng-fork's job.
+      double x = rng.Uniform();  // Draw outside ParallelFor: not shared.
     }
   )cc");
   const std::vector<DfFunction> fns = ExtractFunctions("a.cc", lex.tokens);
   ASSERT_EQ(fns.size(), 1u);
   EXPECT_TRUE(FindNondetSources("a.cc", lex.tokens, fns[0]).empty());
+}
+
+// -------------------------------------------------------- shared-Rng draws ----
+
+// The RngForkRule cases pin SharedRngDraws over whole snippets, the check
+// the former lexical rng-fork rule ran; it is now one of nondet-taint's
+// sources. A draw from an Rng captured into a ParallelFor/ParallelMap body
+// is shared unless the body declares the receiver or indexes it per call.
+
+// The draw-method token of each shared draw in `src`.
+std::vector<std::string> SharedDraws(const std::string& src) {
+  const LexResult lex = Lex(src);
+  std::vector<std::string> draws;
+  for (size_t k : SharedRngDraws(lex.tokens, 0, lex.tokens.size())) {
+    draws.push_back(lex.tokens[k].text);
+  }
+  return draws;
+}
+
+TEST(RngForkRule, FlagsSharedRngDrawInsideParallelFor) {
+  EXPECT_EQ(SharedDraws(R"cc(
+    void F(Rng& rng, std::vector<double>* out) {
+      ParallelFor(8, [&](int64_t i) { (*out)[i] = rng.Uniform(); });
+    }
+  )cc"), Strings{"Uniform"});
+  // A draw inside nested loops is listed once, not once per loop.
+  EXPECT_EQ(SharedDraws(R"cc(
+    void F(Rng& rng, std::vector<double>* out) {
+      ParallelFor(8, [&](int64_t i) {
+        ParallelFor(8, [&](int64_t j) { (*out)[8 * i + j] = rng.Uniform(); });
+      });
+    }
+  )cc"), Strings{"Uniform"});
+}
+
+TEST(RngForkRule, FlagsPointerDrawAndForkInsideBody) {
+  EXPECT_EQ(SharedDraws(R"cc(
+    ParallelFor(n, [&](int64_t i) { out[i] = rng->Next(); });
+  )cc"), Strings{"Next"});
+  // Fork() mutates the parent, so even forking *inside* the body races.
+  EXPECT_EQ(SharedDraws(R"cc(
+    ParallelFor(n, [&](int64_t i) { Rng child = rng.Fork(); });
+  )cc"), Strings{"Fork"});
+}
+
+TEST(RngForkRule, AllowsPreForkedStreamsAndBodyLocals) {
+  EXPECT_TRUE(SharedDraws(R"cc(
+    void F(Rng* rng, std::vector<double>* out) {
+      std::vector<Rng> streams;
+      for (int s = 0; s < 8; ++s) streams.push_back(rng->Fork());
+      ParallelFor(8, [&](int64_t i) { (*out)[i] = streams[i].Uniform(); });
+      ParallelFor(8, [&](int64_t i) {
+        Rng local(1234 + i);
+        (*out)[i] = local.Normal();
+      });
+      const std::vector<double> v = ParallelMap<double>(8, [&](int64_t i) {
+        Rng& s = streams[i];
+        return s.Uniform();
+      });
+    }
+  )cc").empty());
 }
 
 TEST(PropagateTaintTest, TaintFlowsThroughAssignmentsAndContainerInserts) {
@@ -509,17 +551,6 @@ TEST(HotPathAllocTest, OnlyExplainParallelForBodiesAreHot) {
 }
 
 // ------------------------------------------------------------- meta checks ----
-
-// The repo's own lock-acquisition graph must stay acyclic: a cycle is a
-// potential deadlock and fails CI via `vsd_lint --dump-lock-graph` too.
-TEST(DataflowMetaTest, RepoLockGraphIsAcyclic) {
-  const LockGraph graph = BuildLockGraphFromTree(
-      VSD_SOURCE_DIR, {"src", "bench", "tools", "tests", "examples"});
-  EXPECT_GE(graph.nodes.size(), 4u);
-  for (const Finding& f : CheckLockOrder(graph)) {
-    ADD_FAILURE() << f.ToString();
-  }
-}
 
 // The static twin of the runtime zero-allocation contract: nothing on the
 // GraphExecutor::Execute path may allocate, not even behind a suppression.

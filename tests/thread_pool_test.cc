@@ -85,9 +85,7 @@ TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
 TEST(ThreadPoolTest, ZeroAndNegativeCountsAreNoOps) {
   ThreadPool pool(4);
   int calls = 0;
-  // vsd-lint: allow(unguarded-capture) — count <= 0, the body never runs.
   pool.ParallelFor(0, [&](int64_t) { ++calls; });
-  // vsd-lint: allow(unguarded-capture) — count <= 0, the body never runs.
   pool.ParallelFor(-5, [&](int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   EXPECT_TRUE(pool.ParallelMap<int>(0, [](int64_t) { return 1; }).empty());
@@ -98,7 +96,6 @@ TEST(ThreadPoolTest, SingleThreadRunsInlineOnCallerThread) {
   const std::thread::id caller = std::this_thread::get_id();
   bool all_inline = true;
   pool.ParallelFor(100, [&](int64_t) {
-    // vsd-lint: allow(unguarded-capture) — pool(1) runs inline, one thread.
     if (std::this_thread::get_id() != caller) all_inline = false;
   });
   EXPECT_TRUE(all_inline);

@@ -62,6 +62,32 @@ TEST_F(VlmTest, FeatureCacheMatchesDirectComputation) {
   }
 }
 
+// Every training loss stacks its features through VideoFeatureRows, which
+// copies cache hits and embeds all misses in one packed forward; each row
+// must still be bit-identical to the per-sample VideoFeature.
+TEST_F(VlmTest, VideoFeatureRowsMatchVideoFeatureBitForBit) {
+  FoundationModel model(SmallConfig());
+  data::Dataset half;
+  half.samples.assign(dataset_.samples.begin(),
+                      dataset_.samples.begin() + dataset_.size() / 2);
+  model.PrecomputeFeatures(half);
+  // Cached (< 20) and uncached (>= 20) samples interleaved, with a cached
+  // and an uncached sample each repeated.
+  const std::vector<int> picks = {0, 25, 3, 31, 3, 39, 19, 20, 25};
+  std::vector<const data::VideoSample*> batch;
+  for (int i : picks) batch.push_back(&dataset_.samples[i]);
+  const tensor::Tensor rows = model.VideoFeatureRows(batch);
+  ASSERT_EQ(rows.dim(0), static_cast<int>(picks.size()));
+  for (size_t r = 0; r < batch.size(); ++r) {
+    const tensor::Tensor expected = model.VideoFeature(*batch[r]);
+    ASSERT_EQ(rows.dim(1), expected.size());
+    EXPECT_EQ(std::memcmp(rows.data() + r * rows.dim(1), expected.data(),
+                          sizeof(float) * expected.size()),
+              0)
+        << "row " << r << " (sample " << picks[r] << ")";
+  }
+}
+
 TEST_F(VlmTest, DescribeProbsAreProbabilities) {
   const auto probs = model_->DescribeProbs(dataset_.samples[0]);
   ASSERT_EQ(probs.size(), static_cast<size_t>(face::kNumAus));

@@ -2,21 +2,20 @@
 //
 // Enforces the determinism and error-handling invariants the metrics tables
 // depend on (see docs/INTERNALS.md, "Static analysis & sanitizers"):
-// no raw std:: randomness outside src/common/rng.*, no shared-Rng draws or
-// unguarded by-reference capture writes inside ParallelFor bodies, no exact
-// float comparison in metric kernels, no wall-clock/thread-id/pointer-key
+// no raw std:: randomness outside src/common/rng.*, no exact float
+// comparison in metric kernels, no wall-clock/thread-id/pointer-key
 // nondeterminism in result paths, header hygiene, no unordered-container
 // iteration in result paths — plus the whole-program checks: include-graph
-// layering and cycles, lock-order deadlock cycles, nondeterminism taint
-// flow, hot-path allocation (see src/lint/dataflow.h), annotation-enforced
-// thread safety (guarded-by / unannotated-mutex), and reference
-// invalidation across container mutation (see src/lint/annotations.h).
+// layering and cycles, nondeterminism taint flow, hot-path allocation (see
+// src/lint/dataflow.h), annotation-enforced thread safety (guarded-by /
+// unannotated-mutex), and reference invalidation across container
+// mutation (see src/lint/annotations.h).
 // The same run reports every `allow()` comment whose rule no longer fires
 // on its line as a `stale-suppression` finding.
 //
 // Usage:
 //   vsd_lint [--root DIR] [--fix] [--format=json|sarif] [--dump-graph]
-//            [--dump-lock-graph] [--list-rules] [SUBDIR...]
+//            [--list-rules] [SUBDIR...]
 //
 // With no SUBDIRs, lints src bench tools tests examples under --root
 // (default: the current directory). Exit code 0 = clean, 1 = findings,
@@ -38,10 +37,6 @@
 //                     suppressible), 0 otherwise. Layering violations go
 //                     through the normal lint run, where `allow(layering)`
 //                     suppressions apply.
-//   --dump-lock-graph print the whole-program lock-acquisition graph as DOT
-//                     on stdout and exit; exit code 1 if the graph has a
-//                     cycle (a potential deadlock — not suppressible via
-//                     this flag; the lint run honors allow(lock-order)).
 //   --list-rules      print the rule names, one per line, and exit.
 //
 // Suppress a finding with `// vsd-lint: allow(<rule>)` on the offending
@@ -52,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/dataflow.h"
 #include "lint/fix.h"
 #include "lint/include_graph.h"
 #include "lint/lint.h"
@@ -62,7 +56,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> subdirs;
   bool fix = false;
   bool dump_graph = false;
-  bool dump_lock_graph = false;
   enum class Format { kText, kJson, kSarif };
   Format format = Format::kText;
   for (int i = 1; i < argc; ++i) {
@@ -72,8 +65,6 @@ int main(int argc, char** argv) {
       fix = true;
     } else if (std::strcmp(argv[i], "--dump-graph") == 0) {
       dump_graph = true;
-    } else if (std::strcmp(argv[i], "--dump-lock-graph") == 0) {
-      dump_lock_graph = true;
     } else if (std::strcmp(argv[i], "--format=json") == 0) {
       format = Format::kJson;
     } else if (std::strcmp(argv[i], "--format=sarif") == 0) {
@@ -88,8 +79,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: vsd_lint [--root DIR] [--fix] [--format=json|sarif] "
-          "[--dump-graph] [--dump-lock-graph] [--list-rules] "
-          "[SUBDIR...]\n");
+          "[--dump-graph] [--list-rules] [SUBDIR...]\n");
       return 0;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "vsd_lint: unknown flag '%s'\n", argv[i]);
@@ -117,22 +107,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (dump_lock_graph) {
-    const vsd::lint::LockGraph graph =
-        vsd::lint::BuildLockGraphFromTree(root, subdirs);
-    std::fputs(vsd::lint::DumpLockDot(graph).c_str(), stdout);
-    const std::vector<vsd::lint::Finding> cycles =
-        vsd::lint::CheckLockOrder(graph);
-    for (const auto& f : cycles) {
-      std::fprintf(stderr, "%s\n", f.ToString().c_str());
-    }
-    if (!cycles.empty()) {
-      std::fprintf(stderr, "vsd_lint: lock graph has %zu cycle(s)\n",
-                   cycles.size());
-      return 1;
-    }
-    return 0;
-  }
 
   if (fix) {
     for (const vsd::lint::FixedFile& f : vsd::lint::FixTree(root, subdirs)) {
