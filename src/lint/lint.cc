@@ -38,8 +38,8 @@ struct FileCtx {
 /// not observe the clock, the scheduler, or the address space.
 bool InResultPath(const std::string& path) {
   static const char* const kResultPaths[] = {
-      "src/core/", "src/explain/", "src/cot/",
-      "src/baselines/", "src/vlm/", "bench/",
+      "src/core/",      "src/data/", "src/explain/", "src/cot/",
+      "src/baselines/", "src/vlm/",  "bench/",
   };
   for (const char* p : kResultPaths) {
     if (StartsWith(path, p)) return true;

@@ -41,14 +41,7 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
 }
 
 Var Conv2d::Forward(const Var& x) const {
-  VSD_CHECK(x.value().ndim() == 4) << "Conv2d input must be [N,H,W,C]";
-  VSD_CHECK(x.value().dim(3) == in_channels_) << "Conv2d channel mismatch";
-  const int n = x.value().dim(0);
-  const int oh = ag::ConvOutDim(x.value().dim(1), kernel_, stride_, pad_);
-  const int ow = ag::ConvOutDim(x.value().dim(2), kernel_, stride_, pad_);
-  Var cols = ag::Im2Col(x, kernel_, kernel_, stride_, pad_);
-  Var out = ag::Add(ag::MatMul(cols, weight_), bias_);
-  return ag::Reshape(out, {n, oh, ow, out_channels_});
+  return ag::Conv2d(x, weight_, bias_, kernel_, kernel_, stride_, pad_);
 }
 
 int Conv2d::BuildGraph(graph::GraphBuilder* builder, int x) const {

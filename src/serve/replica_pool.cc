@@ -356,11 +356,11 @@ void Replica::ProcessBatch(std::vector<std::unique_ptr<Request>> batch,
   // An open breaker short-circuits the whole batch before any work (or
   // fault draw) happens: requests go straight to the degraded answer. An
   // elapsed open window lets the batch through as a half-open probe.
-  // enabled() reads only the breaker threshold, which every locked
-  // reassignment copies unchanged from the immutable config_; the
-  // stateful calls below take mu_.
-  // vsd-lint: allow(guarded-by) lock-free early-out on immutable state
-  if (breaker_.enabled()) {
+  // Whether the breaker is on is read from config_, which never changes;
+  // breaker_ itself is reassigned by ResetBreaker, so every read of it
+  // takes mu_.
+  const bool breaker_on = config_.breaker_threshold > 0;
+  if (breaker_on) {
     bool shorted;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -444,8 +444,7 @@ void Replica::ProcessBatch(std::vector<std::unique_ptr<Request>> batch,
     }
 
     if (failure.ok()) {
-      // vsd-lint: allow(guarded-by) enabled() is immutable; lock below
-      if (breaker_.enabled()) {
+      if (breaker_on) {
         std::lock_guard<std::mutex> lock(mu_);
         breaker_.RecordSuccess();
       }
@@ -466,8 +465,7 @@ void Replica::ProcessBatch(std::vector<std::unique_ptr<Request>> batch,
       continue;
     }
 
-    // vsd-lint: allow(guarded-by) enabled() is immutable; lock below
-    if (breaker_.enabled()) {
+    if (breaker_on) {
       std::lock_guard<std::mutex> lock(mu_);
       breaker_.RecordFailure(clock_->NowMicros());
     }

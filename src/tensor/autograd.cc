@@ -65,6 +65,14 @@ Tensor ReduceGradToShape(const Tensor& g, const std::vector<int>& shape) {
   return out;
 }
 
+/// aᵀ·b with `a` read in place: the weight gradient Xᵀ·dY.
+Tensor TransposedProduct(const Tensor& a, const Tensor& b) {
+  Tensor out({a.dim(1), b.dim(1)});
+  t::kernels::MatMulTransAInto(a.data(), b.data(), out.data(), a.dim(0),
+                               a.dim(1), b.dim(1));
+  return out;
+}
+
 /// Adds `g` into the target's gradient.
 ///
 /// The first gradient into a node is adopted when `g` holds its storage
@@ -187,12 +195,8 @@ Var MatMul(const Var& a, const Var& b) {
                   }
                   // dB = Aᵀ·dY reads the activation A in place.
                   if (bn->requires_grad) {
-                    const Tensor& x = an->value;
-                    Tensor gb({x.dim(1), self->grad.dim(1)});
-                    t::kernels::MatMulTransAInto(x.data(), self->grad.data(),
-                                                 gb.data(), x.dim(0),
-                                                 x.dim(1), gb.dim(1));
-                    Accumulate(bn.get(), std::move(gb));
+                    Accumulate(bn.get(),
+                               TransposedProduct(an->value, self->grad));
                   }
                 });
 }
@@ -204,7 +208,14 @@ Var Relu(const Var& a) {
     const float* x = an->value.data();
     const float* dy = self->grad.data();
     float* dx = g.data();
-    for (int i = 0; i < g.size(); ++i) dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
+    const int n = g.size();
+    // dy[i] is read whether or not x[i] > 0, so the select vectorises
+    // (a compare and a mask) instead of branching on every sign. NaN and
+    // ±0.0f in x still give +0.0f.
+    for (int i = 0; i < n; ++i) {
+      const float d = dy[i];
+      dx[i] = x[i] > 0.0f ? d : 0.0f;
+    }
     Accumulate(an.get(), std::move(g));
   });
 }
@@ -504,61 +515,118 @@ int ConvOutDim(int in, int k, int stride, int pad) {
   return (in + 2 * pad - k) / stride + 1;
 }
 
-Var Im2Col(const Var& x, int kh, int kw, int stride, int pad) {
-  VSD_CHECK(x.value().ndim() == 4) << "Im2Col requires [N,H,W,C]";
-  const int n = x.value().dim(0);
-  const int h = x.value().dim(1);
-  const int w = x.value().dim(2);
-  const int c = x.value().dim(3);
-  VSD_CHECK(kh <= h + 2 * pad && kw <= w + 2 * pad)
+namespace {
+
+/// The shapes of one im2col over NHWC input, checked once.
+struct ConvGeometry {
+  int n, h, w, c, kh, kw, stride, pad, oh, ow;
+
+  int rows() const { return n * oh * ow; }
+  int patch() const { return kh * kw * c; }
+};
+
+ConvGeometry CheckedGeometry(const Tensor& x, int kh, int kw, int stride,
+                             int pad) {
+  VSD_CHECK(x.ndim() == 4) << "Im2Col requires [N,H,W,C]";
+  ConvGeometry geo{x.dim(0), x.dim(1), x.dim(2), x.dim(3), kh, kw,
+                   stride,   pad,      0,        0};
+  VSD_CHECK(kh <= geo.h + 2 * pad && kw <= geo.w + 2 * pad)
       << "Im2Col window larger than the padded image";
-  const int oh = ConvOutDim(h, kh, stride, pad);
-  const int ow = ConvOutDim(w, kw, stride, pad);
-  VSD_CHECK(oh > 0 && ow > 0) << "Im2Col degenerate output";
-  Tensor cols({n * oh * ow, kh * kw * c});
-  const int plane_size = t::kernels::Im2ColPlaneSize(h, w, c, pad);
-  std::vector<float> plane(plane_size);
-  t::kernels::Im2ColInto(x.value().data(), cols.data(), n, h, w, c, kh, kw,
-                         stride, pad, plane.data());
-  auto xn = x.node();
-  return MakeOp(
-      cols, {xn},
-      [xn, n, c, h, w, oh, ow, kh, kw, stride, pad, plane_size](Node* self) {
-        if (!xn->requires_grad) return;
-        // col2im through the forward's zero-bordered plane: `col` walks
-        // the patch gradients in (row, col) order, and each kernel row adds
-        // its kw*c floats, with no bounds test, into the plane run it was
-        // read from. The border collects the padding taps, which are
-        // dropped; every pixel sums its taps from +0.0f in the order a
-        // per-tap loop would.
-        const int image_row = w * c;
-        const int plane_row = image_row + 2 * pad * c;
-        const int run = kw * c;
-        std::vector<float> plane(plane_size);
-        const float* interior =
-            plane.data() + static_cast<long long>(pad) * plane_row + pad * c;
-        Tensor g({n, h, w, c});
-        const float* col = self->grad.data();
-        for (int b = 0; b < n; ++b) {
-          std::fill(plane.begin(), plane.end(), 0.0f);
-          for (int oy = 0; oy < oh; ++oy) {
-            float* window =
-                plane.data() + static_cast<long long>(oy) * stride * plane_row;
-            for (int ox = 0; ox < ow; ++ox, window += stride * c) {
-              float* px = window;
-              for (int ky = 0; ky < kh; ++ky, px += plane_row, col += run) {
-                for (int t = 0; t < run; ++t) px[t] += col[t];
-              }
-            }
-          }
-          float* image = g.data() + static_cast<long long>(b) * h * image_row;
-          for (int y = 0; y < h; ++y) {
-            std::copy_n(interior + static_cast<long long>(y) * plane_row,
-                        image_row,
-                        image + static_cast<long long>(y) * image_row);
-          }
+  geo.oh = ConvOutDim(geo.h, kh, stride, pad);
+  geo.ow = ConvOutDim(geo.w, kw, stride, pad);
+  VSD_CHECK(geo.oh > 0 && geo.ow > 0) << "Im2Col degenerate output";
+  return geo;
+}
+
+Tensor Im2ColValue(const Tensor& x, const ConvGeometry& geo) {
+  Tensor cols({geo.rows(), geo.patch()});
+  std::vector<float> plane(
+      t::kernels::Im2ColPlaneSize(geo.h, geo.w, geo.c, geo.pad));
+  t::kernels::Im2ColInto(x.data(), cols.data(), geo.n, geo.h, geo.w, geo.c,
+                         geo.kh, geo.kw, geo.stride, geo.pad, plane.data());
+  return cols;
+}
+
+/// col2im: the input gradient [N,H,W,C] from the patch gradients `col`
+/// [rows, patch], through a zero-bordered plane like the forward's. `col`
+/// is walked in (row, col) order, and each kernel row adds its kw*c
+/// floats, with no bounds test, into the plane run it was read from. The
+/// border collects the padding taps, which are dropped; every pixel sums
+/// its taps from +0.0f in the order a per-tap loop would.
+Tensor Col2Im(const float* col, const ConvGeometry& geo) {
+  const int image_row = geo.w * geo.c;
+  const int plane_row = image_row + 2 * geo.pad * geo.c;
+  const int run = geo.kw * geo.c;
+  std::vector<float> plane(
+      t::kernels::Im2ColPlaneSize(geo.h, geo.w, geo.c, geo.pad));
+  const float* interior = plane.data() +
+                          static_cast<long long>(geo.pad) * plane_row +
+                          geo.pad * geo.c;
+  Tensor g({geo.n, geo.h, geo.w, geo.c});
+  for (int b = 0; b < geo.n; ++b) {
+    std::fill(plane.begin(), plane.end(), 0.0f);
+    for (int oy = 0; oy < geo.oh; ++oy) {
+      float* window = plane.data() +
+                      static_cast<long long>(oy) * geo.stride * plane_row;
+      for (int ox = 0; ox < geo.ow; ++ox, window += geo.stride * geo.c) {
+        float* px = window;
+        for (int ky = 0; ky < geo.kh; ++ky, px += plane_row, col += run) {
+          for (int t = 0; t < run; ++t) px[t] += col[t];
         }
-        Accumulate(xn.get(), std::move(g));
+      }
+    }
+    float* image = g.data() + static_cast<long long>(b) * geo.h * image_row;
+    for (int y = 0; y < geo.h; ++y) {
+      std::copy_n(interior + static_cast<long long>(y) * plane_row,
+                  image_row, image + static_cast<long long>(y) * image_row);
+    }
+  }
+  return g;
+}
+
+}  // namespace
+
+Var Im2Col(const Var& x, int kh, int kw, int stride, int pad) {
+  const ConvGeometry geo = CheckedGeometry(x.value(), kh, kw, stride, pad);
+  auto xn = x.node();
+  return MakeOp(Im2ColValue(x.value(), geo), {xn}, [xn, geo](Node* self) {
+    Accumulate(xn.get(), Col2Im(self->grad.data(), geo));
+  });
+}
+
+Var Conv2d(const Var& x, const Var& w, const Var& b, int kh, int kw,
+           int stride, int pad) {
+  const ConvGeometry geo = CheckedGeometry(x.value(), kh, kw, stride, pad);
+  VSD_CHECK(w.value().ndim() == 2 && w.value().dim(0) == geo.patch())
+      << "Conv2d weights must be [kh*kw*C, F]";
+  const int f = w.value().dim(1);
+  VSD_CHECK(b.value().size() == f) << "Conv2d bias must be [F]";
+  // The compiled graph's Im2Col -> MatMul -> AddRows -> Reshape: the same
+  // kernels in the same order, with the bias added in place.
+  Tensor cols = Im2ColValue(x.value(), geo);
+  Tensor y = t::MatMul(cols, w.value());
+  t::kernels::AddRowsInto(y.data(), b.value().data(), y.data(), geo.rows(),
+                          f);
+  auto xn = x.node();
+  auto wn = w.node();
+  auto bn = b.node();
+  return MakeOp(
+      y.Reshape({geo.n, geo.oh, geo.ow, f}), {xn, wn, bn},
+      [xn, wn, bn, cols, geo, f](Node* self) {
+        // dY is read in place, where the four-node form copied it into
+        // the Add and MatMul nodes' grads as +0.0f + dY. That copy only
+        // turned -0.0f into +0.0f, and every reader below gives the same
+        // bits for either zero: the bias row sum and Aᵀ·dY start at +0.0f,
+        // and dY·Wᵀ skips zero entries of dY.
+        const Tensor dy = self->grad.Reshape({geo.rows(), f});
+        Accumulate(bn.get(), dy);
+        if (wn->requires_grad) {
+          Accumulate(wn.get(), TransposedProduct(cols, dy));
+        }
+        if (xn->requires_grad) {
+          const Tensor dcols = t::MatMul(dy, t::Transpose(wn->value));
+          Accumulate(xn.get(), Col2Im(dcols.data(), geo));
+        }
       });
 }
 

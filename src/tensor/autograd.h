@@ -106,6 +106,14 @@ Var LogSoftmaxRows(const Var& logits);
 /// NHWC is used so a following matmul yields [N,OH,OW,F] by plain reshape.
 Var Im2Col(const Var& x, int kh, int kw, int stride, int pad);
 
+/// Convolution over NHWC input as one node: x [N,H,W,C], weights w
+/// [kh*kw*C, F] (fp32 or int8), bias b [F] -> [N,OH,OW,F]. The value and
+/// every gradient are bit-identical to Reshape(Add(MatMul(Im2Col(x), w),
+/// b)): the forward runs the compiled graph's kernels in its order, and
+/// the backward reads dY in place where those four nodes copied it.
+Var Conv2d(const Var& x, const Var& w, const Var& b, int kh, int kw,
+           int stride, int pad);
+
 /// Row-wise softmax of 2-D input (differentiable).
 Var SoftmaxRowsV(const Var& logits);
 

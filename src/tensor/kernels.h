@@ -75,6 +75,7 @@ void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
                   const int32_t* bzero, float* out, int m, int k, int n);
 
 /// Row-broadcast sum: out[i,j] = a[i,j] + bias[j] for a [rows,cols].
+/// `out` may be `a` (autograd::Conv2d adds its bias in place).
 void AddRowsInto(const float* a, const float* bias, float* out, int rows,
                  int cols);
 

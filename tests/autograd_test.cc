@@ -7,6 +7,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/kernels.h"
@@ -409,6 +410,129 @@ TEST(AutogradTest, Im2ColGradientMatchesTapLoopBitwise) {
       }
     }
   }
+}
+
+/// Runs the backward closures of a chain of nodes, output first, with
+/// `upstream` set directly as the output's gradient.
+void RunChainBackward(const std::vector<Var>& chain, const Tensor& upstream) {
+  chain.front().node()->grad = upstream;
+  for (const Var& v : chain) {
+    Node* node = v.node().get();
+    if (node->backward && node->grad.size() == node->value.size()) {
+      node->backward(node);
+    }
+  }
+}
+
+TEST(AutogradTest, Conv2dMatchesComposedOpsBitwise) {
+  // The one conv node against Im2Col -> MatMul -> Add -> Reshape: the
+  // value and the x, w and b gradients, bit for bit. x is half zeros (a
+  // ReLU output, for MatMul's list path). The upstream gradient holds
+  // -0.0f among its zeros, and -0.0f, NaN and ±inf in its middle row: the
+  // composed form copies it as +0.0f + dY, the node reads it in place.
+  struct Shape {
+    int n, h, w, c, k, stride, pad, f;
+  };
+  const Shape shapes[] = {
+      {1, 48, 48, 1, 5, 2, 2, 8},  {3, 48, 48, 1, 5, 2, 2, 8},   // conv1
+      {1, 24, 24, 8, 3, 2, 1, 16}, {2, 24, 24, 8, 3, 2, 1, 16},  // conv2
+      {2, 7, 6, 3, 3, 2, 0, 5},    {2, 7, 6, 3, 3, 1, 1, 4},
+      {3, 5, 5, 2, 1, 1, 0, 1},
+  };
+  const float specials[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  Rng rng(49);
+  for (k::Backend backend : {k::Backend::kScalar, k::Backend::kSimd}) {
+    BackendGuard guard(backend);
+    for (const Shape& s : shapes) {
+      for (bool x_grad : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << k::BackendName(backend) << " n=" << s.n << " "
+                     << s.h << "x" << s.w << "x" << s.c << " k=" << s.k
+                     << " /" << s.stride << " pad " << s.pad << " f=" << s.f
+                     << (x_grad ? "" : " x without grad"));
+        const Tensor x =
+            SparseRand(s.n * s.h * s.w, s.c, 0.5, &rng)
+                .Reshape({s.n, s.h, s.w, s.c});
+        const Tensor w = SparseRand(s.k * s.k * s.c, s.f, 0.0, &rng);
+        const Tensor b = SparseRand(1, s.f, 0.0, &rng).Reshape({s.f});
+        const int oh = ConvOutDim(s.h, s.k, s.stride, s.pad);
+        const int ow = ConvOutDim(s.w, s.k, s.stride, s.pad);
+        const int rows = s.n * oh * ow;
+        Tensor dy2 = SparseRand(rows, s.f, 0.3, &rng);
+        for (int j = 0; j < s.f; ++j) dy2.at(rows / 2, j) = specials[j % 4];
+        const Tensor dy = dy2.Reshape({s.n, oh, ow, s.f});
+
+        Var x1(x, x_grad), w1(w, true), b1(b, true);
+        Var conv = Conv2d(x1, w1, b1, s.k, s.k, s.stride, s.pad);
+        Var x2(x, x_grad), w2(w, true), b2(b, true);
+        Var cols = Im2Col(x2, s.k, s.k, s.stride, s.pad);
+        Var mm = MatMul(cols, w2);
+        Var sum = Add(mm, b2);
+        Var ref = Reshape(sum, {s.n, oh, ow, s.f});
+        ExpectSameBits(conv.value(), ref.value());
+        EXPECT_TRUE(conv.node()->parents.size() == 3 &&
+                    conv.node()->parents[0] == x1.node());
+
+        RunBackward(conv, dy);
+        RunChainBackward({ref, sum, mm, cols}, dy);
+        ExpectSameBits(w1.grad(), w2.grad());
+        ExpectSameBits(b1.grad(), b2.grad());
+        if (x_grad) {
+          ExpectSameBits(x1.grad(), x2.grad());
+        } else {
+          EXPECT_TRUE(x1.grad().empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(AutogradTest, Conv2dTakesInt8WeightsForward) {
+  // A quantized model's eager encode runs the node forward only, with
+  // int8 weights that only tensor::MatMul reads.
+  Rng rng(50);
+  for (k::Backend backend : {k::Backend::kScalar, k::Backend::kSimd}) {
+    BackendGuard guard(backend);
+    const Tensor x = SparseRand(2 * 24 * 24, 8, 0.5, &rng)
+                         .Reshape({2, 24, 24, 8});
+    const Var w(SparseRand(72, 16, 0.0, &rng).QuantizeInt8());
+    const Var b(SparseRand(1, 16, 0.0, &rng).Reshape({16}));
+    const Var conv = Conv2d(Var(x), w, b, 3, 3, 2, 1);
+    const Var ref = Reshape(Add(MatMul(Im2Col(Var(x), 3, 3, 2, 1), w), b),
+                            {2, 12, 12, 16});
+    ExpectSameBits(conv.value(), ref.value());
+  }
+}
+
+TEST(AutogradTest, ReluBackwardSelectsBitwise) {
+  // Every x in {±1, ±0, NaN, ±inf} against every dy in {1, -0, NaN, inf},
+  // three times over at shifted offsets so each pair lands in the vector
+  // body and in the tail: dx is dy where x > 0 and +0.0f elsewhere.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float xs[] = {1.0f, -1.0f, 0.0f, -0.0f, nan, inf, -inf};
+  const float dys[] = {1.0f, -0.0f, nan, inf};
+  std::vector<float> xv, dyv;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int pad = 0; pad < rep; ++pad) {
+      xv.push_back(2.0f);
+      dyv.push_back(3.0f);
+    }
+    for (float xi : xs) {
+      for (float di : dys) {
+        xv.push_back(xi);
+        dyv.push_back(di);
+      }
+    }
+  }
+  const int n = static_cast<int>(xv.size());
+  Tensor want({n});
+  for (int i = 0; i < n; ++i) want.at(i) = xv[i] > 0.0f ? dyv[i] : 0.0f;
+  Var x(Tensor::FromVector({n}, xv), true);
+  RunBackward(Relu(x), Tensor::FromVector({n}, dyv));
+  ExpectSameBits(x.grad(), Accumulated(want));
 }
 
 TEST(AutogradTest, Im2ColRejectsAWindowLargerThanThePaddedImage) {

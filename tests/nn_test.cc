@@ -63,6 +63,20 @@ TEST(Conv2dTest, TranslationOfConstantInput) {
   EXPECT_NEAR(y.value().at4(0, 1, 2, 0), center, 1e-5f);
 }
 
+TEST(Conv2dTest, ForwardIsOneNodeOverInputWeightsAndBias) {
+  // No Im2Col, Add or Reshape node between the input and the output: the
+  // output's parents are the input and the layer's two parameters.
+  Rng rng(6);
+  Conv2d conv(2, 4, /*kernel=*/3, /*stride=*/2, /*pad=*/1, &rng);
+  Var x(Tensor::Randn({2, 6, 6, 2}, &rng), /*requires_grad=*/true);
+  Var y = conv.Forward(x);
+  const std::vector<Var> params = conv.Parameters();
+  ASSERT_EQ(y.node()->parents.size(), 3u);
+  EXPECT_EQ(y.node()->parents[0], x.node());
+  EXPECT_EQ(y.node()->parents[1], params[0].node());
+  EXPECT_EQ(y.node()->parents[2], params[1].node());
+}
+
 TEST(LayerNormTest, NormalizesRows) {
   LayerNorm ln(4);
   Var x(Tensor::FromVector({2, 4}, {1, 2, 3, 4, 10, 20, 30, 40}));
@@ -208,6 +222,81 @@ TEST(OptimizerTest, AdamStepIsBoundedByLr) {
   // First Adam step magnitude is ~lr regardless of gradient scale.
   EXPECT_NEAR(std::abs(layer.Parameters()[0].value().at(0) - w0), 0.01f,
               2e-3f);
+}
+
+/// Adam's update as a plain indexed loop, with the constants computed per
+/// element and the decay test inside: the form Adam::Step vectorises.
+struct ScalarAdam {
+  float lr, beta1, beta2, eps, weight_decay;
+  int step = 0;
+  std::vector<std::vector<float>> m, v;
+
+  void Step(std::vector<std::vector<float>>* values,
+            const std::vector<std::vector<float>>& grads) {
+    ++step;
+    const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(step));
+    const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(step));
+    for (size_t i = 0; i < values->size(); ++i) {
+      std::vector<float>& value = (*values)[i];
+      m.resize(values->size());
+      v.resize(values->size());
+      m[i].resize(value.size(), 0.0f);
+      v[i].resize(value.size(), 0.0f);
+      for (size_t j = 0; j < value.size(); ++j) {
+        const float g = grads[i][j];
+        m[i][j] = beta1 * m[i][j] + (1.0f - beta1) * g;
+        v[i][j] = beta2 * v[i][j] + (1.0f - beta2) * g * g;
+        const float mhat = m[i][j] / bc1;
+        const float vhat = v[i][j] / bc2;
+        float update = mhat / (std::sqrt(vhat) + eps);
+        if (weight_decay > 0.0f) update += weight_decay * value[j];
+        value[j] -= lr * update;
+      }
+    }
+  }
+};
+
+TEST(OptimizerTest, AdamStepMatchesTheScalarLoopBitwise) {
+  // Sizes around the vector widths run the vector body and every tail.
+  // A fifth of the gradients are +0.0f or -0.0f; the rest span six orders
+  // of magnitude.
+  const std::vector<int> sizes = {1, 7, 8, 9, 33};
+  for (float decay : {0.0f, 0.01f}) {
+    SCOPED_TRACE(testing::Message() << "weight decay " << decay);
+    Rng rng(15);
+    std::vector<Var> params;
+    std::vector<std::vector<float>> want;
+    for (int n : sizes) {
+      const Tensor w = Tensor::Randn({n}, &rng);
+      params.emplace_back(w.Clone(), /*requires_grad=*/true);
+      want.emplace_back(w.data(), w.data() + n);
+    }
+    Adam opt(params, /*lr=*/1e-2f, 0.9f, 0.999f, 1e-8f, decay);
+    ScalarAdam ref{1e-2f, 0.9f, 0.999f, 1e-8f, decay, 0, {}, {}};
+    for (int step = 1; step <= 5; ++step) {
+      std::vector<std::vector<float>> grads;
+      for (size_t i = 0; i < params.size(); ++i) {
+        Tensor g({sizes[i]});
+        for (int j = 0; j < g.size(); ++j) {
+          const double u = rng.Uniform();
+          g.at(j) = u < 0.1   ? 0.0f
+                    : u < 0.2 ? -0.0f
+                              : static_cast<float>(
+                                    rng.Normal() *
+                                    std::pow(10.0, rng.UniformInt(-3, 3)));
+        }
+        params[i].node()->grad = g;
+        grads.emplace_back(g.data(), g.data() + g.size());
+      }
+      opt.Step();
+      ref.Step(&want, grads);
+      for (size_t i = 0; i < params.size(); ++i) {
+        EXPECT_EQ(0, std::memcmp(params[i].value().data(), want[i].data(),
+                                 want[i].size() * sizeof(float)))
+            << "step " << step << ", size " << sizes[i];
+      }
+    }
+  }
 }
 
 TEST(ConvTrainingTest, LearnsToDetectBrightQuadrant)  {

@@ -6,6 +6,7 @@
 // — at every thread-pool width.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -377,6 +378,44 @@ TEST_F(ReplicaPoolTest, BreakerShortCircuitsBatchesOnManualClock) {
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3->degradation, DegradationLevel::kFull);  // Probe succeeded.
   EXPECT_EQ(replica.BreakerState(), CircuitBreaker::State::kClosed);
+}
+
+TEST_F(ReplicaPoolTest, BreakerResetWhileServingIsRaceFree) {
+  // ReplicaPool::Heartbeat resets a readmitted replica's breaker while the
+  // replica's worker may be mid-batch. Here a thread resets it in a loop
+  // while the worker answers with the breaker enabled; the worker must
+  // read breaker state only under the replica's mutex, which
+  // ThreadSanitizer checks (CI's serve-replica job).
+  FaultInjector::Global().Disable();
+  ModelWorld& world = ModelWorld::Shared();
+  const std::vector<double> direct =
+      world.pipeline.PredictBatch(world.Pointers());
+  ReplicaPool::Config config;
+  config.replica.num_workers = 1;
+  config.replica.max_batch = 2;
+  config.replica.breaker_threshold = 3;
+  ReplicaPool pool({&world.pipeline}, config);
+  Replica& replica = pool.replica(0);
+  std::atomic<bool> done{false};
+  std::thread resetter([&] {
+    while (!done.load(std::memory_order_relaxed)) replica.ResetBreaker();
+  });
+  for (int round = 0; round < 3; ++round) {
+    std::vector<ServeFuture> futures;
+    for (const auto& sample : world.dataset.samples) {
+      futures.push_back(replica.Submit(sample, RequestOptions{}));
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      vsd::Result<ServeResult> r = Get(futures[i]);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok()) continue;  // The resetter must still be joined.
+      EXPECT_EQ(r->degradation, DegradationLevel::kFull);
+      EXPECT_EQ(r->prob_stressed, direct[i]) << "sample " << i;
+    }
+  }
+  done.store(true, std::memory_order_relaxed);
+  resetter.join();
+  pool.Shutdown();
 }
 
 // ------------------------------------------------------------ deadlines ----
