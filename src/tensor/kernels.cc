@@ -177,6 +177,15 @@ bool UseSimd() { return ActiveBackend() == Backend::kSimd; }
 /// products take 1.8-2.9x as long at 8 lanes (docs/INTERNALS.md).
 bool EightLanes(int width) { return width % 8 == 0 && EightLanesUsable(); }
 
+/// The MatMuls also run 8 lanes on outputs of kWideOutput columns or more,
+/// whose scalar tail of up to 7 columns is a small share of the row: the
+/// Assess and Highlight layer-1 input gradients (228 and 218 wide) take
+/// about 0.6 of their 4-lane time there.
+constexpr int kWideOutput = 64;
+bool EightLanesMatMul(int n) {
+  return (n % 8 == 0 || n >= kWideOutput) && EightLanesUsable();
+}
+
 }  // namespace
 
 bool SimdCompiled() { return simd::Available(); }
@@ -223,14 +232,14 @@ void ClearBackendOverride() {
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
   if (!UseSimd()) return scalar::MatMulInto(a, b, out, m, k, n);
-  EightLanes(n) ? simd_avx2::MatMulInto(a, b, out, m, k, n)
+  EightLanesMatMul(n) ? simd_avx2::MatMulInto(a, b, out, m, k, n)
                 : simd::MatMulInto(a, b, out, m, k, n);
 }
 
 void MatMulTransAInto(const float* a, const float* b, float* out, int m,
                       int k, int n) {
   if (!UseSimd()) return scalar::MatMulTransAInto(a, b, out, m, k, n);
-  EightLanes(n) ? simd_avx2::MatMulTransAInto(a, b, out, m, k, n)
+  EightLanesMatMul(n) ? simd_avx2::MatMulTransAInto(a, b, out, m, k, n)
                 : simd::MatMulTransAInto(a, b, out, m, k, n);
 }
 

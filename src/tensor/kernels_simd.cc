@@ -90,26 +90,38 @@ inline vs LoadQ(const int8_t* p) {
 // de Geijn, ACM TOMS 2008). Row i of the product reads only row i of `a`,
 // so no result depends on m or on which rows share a block.
 //
+// The skip changes a result only when b holds an inf or a NaN. An
+// accumulator that starts at +0.0f never becomes -0.0f: under round to
+// nearest a sum is -0.0f only when both terms are, and gradual underflow
+// rounds a nonzero sum to a nonzero value. So adding a[i, p] * b[p, j] =
+// ±0.0f for a zero a[i, p] and a finite b[p, j] leaves every accumulator
+// as it was, and a tile may add it instead of testing for it. The
+// argument needs IEEE arithmetic: no flush-to-zero or denormals-are-zero
+// mode, no -ffast-math, and -ffp-contract=off as above.
+//
 // A row's full vectors split into blocks of at most kTileVectors; the last
-// n % kLanes columns are a scalar tail. How the k loop skips zeros depends
-// on `a`, its row length and (for long rows) its zeros, counted once:
-//   * Tiles (weights, dense activations, short rows): R rows share each
-//     V-vector block (R = TileRows(V): conv1's n=8 at 4 lanes runs 4 rows x
-//     2 vectors, a 48-wide row 1 x 12) and every (row, p) tests its a
-//     value, a branch that seldom changes direction when zeros are rare.
+// n % kLanes columns are a scalar tail. Each call picks one of three k
+// loops from what it observes (ChoosePath; docs/INTERNALS.md has the
+// per-shape timings behind the rule):
 //   * Lists (ReLU outputs and their gradients: more than one zero in
-//     kListZeroShare, rows of at least kListMinK): each row lists its
-//     nonzero p's once per chunk of k, branch-free, and every block of the
-//     row walks the list, which leaves no data-dependent branch to
-//     mispredict. At the model's shapes that take it (conv2 and the
-//     projection, forward and backward) it needs about half the tiles'
-//     time; on dense `a` it needs ~1.2x, and on rows of 9-12 (the heads)
-//     building the list costs more than it saves (docs/INTERNALS.md).
+//     kListZeroShare among the first kZeroCountRows rows of `a`, rows of
+//     at least kListMinK): each row lists its nonzero p's once per chunk
+//     of k, branch-free, and every block of the row walks the list, so it
+//     does no work for a zero a value and has no branch to mispredict.
+//   * Branch-free tiles (any other `a` times a finite b, with at least as
+//     many rows as vectors per row, so that the pass checking b costs less
+//     than the tests it saves): R rows share each V-vector block and add
+//     every a value, zero or not.
+//   * Skipping tiles (the rest): the same tiles, each (row, p) testing its
+//     a value first.
 
 /// Accumulators per block. SSE and AVX2 both have 16 vector registers;
 /// this leaves room for the broadcast a[i, p] and a product.
 constexpr int kTileVectors = 12;
-/// Rows per block are capped: each is one more skip test per p.
+/// Rows per block are capped where each row costs more than its
+/// accumulators: one more skip test per p, or in A·B one more row of `a`
+/// to read a value from per p. A branch-free Aᵀ·B tile reads its rows'
+/// values from one run of a row of `a`, so it fills the block.
 constexpr int kMaxTileRows = 4;
 /// `a` takes the list path when more than one value in this many is zero
 /// and its rows are at least kListMinK long.
@@ -117,10 +129,12 @@ constexpr int kListZeroShare = 8;
 constexpr int kListMinK = 16;
 /// The list path lists nonzero p's in chunks of this many (on the stack).
 constexpr int kChunk = 256;
+/// The zero share is counted over `a`'s first rows only: a pass over all
+/// of conv1's [36864, 25] patches cost a sixth of the product.
+constexpr int kZeroCountRows = 256;
 
-constexpr int TileRows(int vectors) {
-  return kTileVectors / vectors < kMaxTileRows ? kTileVectors / vectors
-                                               : kMaxTileRows;
+constexpr int TileRows(int vectors, int max_rows = kMaxTileRows) {
+  return std::min(kTileVectors / vectors, max_rows);
 }
 
 /// Calls fn.template operator()<V>(j) for each block of `vectors` full
@@ -161,9 +175,36 @@ long long CountZeros(const float* x, long long count) {
   return total;
 }
 
+/// Whether every one of x[0..count) is finite. x - x is +0.0f for a
+/// finite x and NaN for an inf or a NaN, and a NaN survives the sum of
+/// four such differences, which then compares unequal to zero. Four
+/// vectors per compare take 0.35 of the time of one per compare at 4
+/// lanes, and 0.74 at 8.
+bool AllFinite(const float* x, long long count) {
+  const vf zero = vf{};
+  vs bad = vs{};
+  long long i = 0;
+  for (; i + 4 * kLanes <= count; i += 4 * kLanes) {
+    const vf v0 = LoadF(x + i);
+    const vf v1 = LoadF(x + i + kLanes);
+    const vf v2 = LoadF(x + i + 2 * kLanes);
+    const vf v3 = LoadF(x + i + 3 * kLanes);
+    bad |= ((v0 - v0) + (v1 - v1)) + ((v2 - v2) + (v3 - v3)) != zero;
+  }
+  for (; i + kLanes <= count; i += kLanes) {
+    const vf v = LoadF(x + i);
+    bad |= v - v != zero;
+  }
+  int any = 0;
+  for (int l = 0; l < kLanes; ++l) any |= bad[l];
+  for (; i < count; ++i) any |= x[i] - x[i] != 0.0f;
+  return any == 0;
+}
+
 /// Tile path: rows [0, R) x vector columns [0, V * kLanes) of `out`, with
-/// `a`, `b` and `out` offset to the tile's first row and column.
-template <int R, int V>
+/// `a`, `b` and `out` offset to the tile's first row and column. kSkip
+/// compiles in the a[i, p] == 0 test.
+template <int R, int V, bool kSkip>
 inline void MatMulTile(const float* a, const float* b, float* out, int k,
                        int n) {
   vf acc[R][V];
@@ -177,7 +218,7 @@ inline void MatMulTile(const float* a, const float* b, float* out, int k,
 #pragma GCC unroll 16
     for (int r = 0; r < R; ++r) {
       const float av = a[static_cast<long long>(r) * k + p];
-      if (av == 0.0f) continue;
+      if (kSkip && av == 0.0f) continue;
       const vf avv = Splat(av);
       const float* bv = brow;
 #pragma GCC unroll 16
@@ -195,19 +236,19 @@ inline void MatMulTile(const float* a, const float* b, float* out, int k,
 /// Tile path: the V-vector column block at `b`/`out` for every row,
 /// TileRows(V) rows per tile. Not inlined, so that each V gets a register
 /// allocation of its own.
-template <int V>
+template <int V, bool kSkip>
 __attribute__((noinline)) void MatMulTileColumns(const float* a,
                                                  const float* b, float* out,
                                                  int m, int k, int n) {
   constexpr int kRows = TileRows(V);
   int i = 0;
   for (; i + kRows <= m; i += kRows) {
-    MatMulTile<kRows, V>(a + static_cast<long long>(i) * k, b,
-                         out + static_cast<long long>(i) * n, k, n);
+    MatMulTile<kRows, V, kSkip>(a + static_cast<long long>(i) * k, b,
+                                out + static_cast<long long>(i) * n, k, n);
   }
   for (; i < m; ++i) {
-    MatMulTile<1, V>(a + static_cast<long long>(i) * k, b,
-                     out + static_cast<long long>(i) * n, k, n);
+    MatMulTile<1, V, kSkip>(a + static_cast<long long>(i) * k, b,
+                            out + static_cast<long long>(i) * n, k, n);
   }
 }
 
@@ -275,22 +316,39 @@ __attribute__((noinline)) void MatMulListColumns(const float* a,
   }
 }
 
-/// Both paths: the last `cols` (< kLanes) columns of every row, with `b`
+/// Every path: the last `cols` (< kLanes) columns of every row, with `b`
 /// and `out` offset to the first of them, one float accumulator per
 /// element.
+template <bool kSkip>
 void MatMulTailColumns(const float* a, const float* b, float* out, int m,
                        int k, int n, int cols) {
   for (int i = 0; i < m; ++i) {
     float acc[kLanes] = {};
     for (int p = 0; p < k; ++p) {
       const float av = a[static_cast<long long>(i) * k + p];
-      if (av == 0.0f) continue;
+      if (kSkip && av == 0.0f) continue;
       const float* brow = b + static_cast<long long>(p) * n;
       for (int j = 0; j < cols; ++j) acc[j] += av * brow[j];
     }
     float* orow = out + static_cast<long long>(i) * n;
     for (int j = 0; j < cols; ++j) orow[j] = acc[j];
   }
+}
+
+enum class Path { kTiles, kSkippingTiles, kLists };
+
+/// The k loop for an [m, k] x [k, n] product.
+Path ChoosePath(const float* a, const float* b, int m, int k, int n) {
+  if (k >= kListMinK) {
+    const long long counted =
+        static_cast<long long>(std::min(m, kZeroCountRows)) * k;
+    if (CountZeros(a, counted) * kListZeroShare > counted) return Path::kLists;
+  }
+  // The pass over b reads about k * vectors vectors and saves m * k tests.
+  if (m >= n / kLanes && AllFinite(b, static_cast<long long>(k) * n)) {
+    return Path::kTiles;
+  }
+  return Path::kSkippingTiles;
 }
 
 // ---- Aᵀ·B: weight gradients ----
@@ -314,7 +372,7 @@ constexpr int kTransAChunkRows = 256;
 
 /// Rows [0, R) x vector columns [0, V * kLanes) of `out` over `rows` rows
 /// of `a` and `b`, each offset to the tile's first column.
-template <int R, int V, bool kFirst>
+template <int R, int V, bool kFirst, bool kSkip>
 inline void MatMulTransATile(const float* a, const float* b, float* out,
                              int rows, int k, int n) {
   vf acc[R][V];
@@ -332,7 +390,7 @@ inline void MatMulTransATile(const float* a, const float* b, float* out,
 #pragma GCC unroll 16
     for (int r = 0; r < R; ++r) {
       const float av = arow[r];
-      if (av == 0.0f) continue;
+      if (kSkip && av == 0.0f) continue;
       const vf avv = Splat(av);
       const float* bv = brow;
 #pragma GCC unroll 16
@@ -348,27 +406,28 @@ inline void MatMulTransATile(const float* a, const float* b, float* out,
 }
 
 /// The V-vector column block at `b`/`out` for every output row,
-/// TileRows(V) rows per tile, over one chunk of `rows` rows.
-template <int V, bool kFirst>
+/// TileRows(V) rows per tile when they skip, a full block when they do
+/// not, over one chunk of `rows` rows.
+template <int V, bool kFirst, bool kSkip>
 __attribute__((noinline)) void MatMulTransAColumns(const float* a,
                                                    const float* b,
                                                    float* out, int rows,
                                                    int k, int n) {
-  constexpr int kRows = TileRows(V);
+  constexpr int kRows = TileRows(V, kSkip ? kMaxTileRows : kTileVectors);
   int p = 0;
   for (; p + kRows <= k; p += kRows) {
-    MatMulTransATile<kRows, V, kFirst>(
+    MatMulTransATile<kRows, V, kFirst, kSkip>(
         a + p, b, out + static_cast<long long>(p) * n, rows, k, n);
   }
   for (; p < k; ++p) {
-    MatMulTransATile<1, V, kFirst>(
+    MatMulTransATile<1, V, kFirst, kSkip>(
         a + p, b, out + static_cast<long long>(p) * n, rows, k, n);
   }
 }
 
 /// The last `cols` (< kLanes) columns of every output row over one chunk,
 /// with `b` and `out` offset to the first of them.
-template <bool kFirst>
+template <bool kFirst, bool kSkip>
 void MatMulTransATailColumns(const float* a, const float* b, float* out,
                              int rows, int k, int n, int cols) {
   for (int p = 0; p < k; ++p) {
@@ -379,7 +438,7 @@ void MatMulTransATailColumns(const float* a, const float* b, float* out,
     }
     for (int i = 0; i < rows; ++i) {
       const float av = a[static_cast<long long>(i) * k + p];
-      if (av == 0.0f) continue;
+      if (kSkip && av == 0.0f) continue;
       const float* brow = b + static_cast<long long>(i) * n;
       for (int j = 0; j < cols; ++j) acc[j] += av * brow[j];
     }
@@ -388,16 +447,28 @@ void MatMulTransATailColumns(const float* a, const float* b, float* out,
 }
 
 /// One chunk of `rows` rows of `a` and `b` into every block of `out`.
-template <bool kFirst>
+template <bool kFirst, bool kSkip>
 void MatMulTransAChunk(const float* a, const float* b, float* out, int rows,
                        int k, int n) {
   ForEachBlock(n / kLanes, [&]<int V>(int j) {
-    MatMulTransAColumns<V, kFirst>(a, b + j, out + j, rows, k, n);
+    MatMulTransAColumns<V, kFirst, kSkip>(a, b + j, out + j, rows, k, n);
   });
   const int vector_cols = n - n % kLanes;
   if (vector_cols < n) {
-    MatMulTransATailColumns<kFirst>(a, b + vector_cols, out + vector_cols,
-                                    rows, k, n, n - vector_cols);
+    MatMulTransATailColumns<kFirst, kSkip>(
+        a, b + vector_cols, out + vector_cols, rows, k, n, n - vector_cols);
+  }
+}
+
+/// One chunk, by the skipping tiles when its rows of `b` hold an inf or a
+/// NaN.
+template <bool kFirst>
+void MatMulTransAChunk(const float* a, const float* b, float* out, int rows,
+                       int k, int n) {
+  if (AllFinite(b, static_cast<long long>(rows) * n)) {
+    MatMulTransAChunk<kFirst, false>(a, b, out, rows, k, n);
+  } else {
+    MatMulTransAChunk<kFirst, true>(a, b, out, rows, k, n);
   }
 }
 
@@ -443,18 +514,24 @@ bool Available() { return true; }
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
-  const long long size = static_cast<long long>(m) * k;
-  const bool lists =
-      k >= kListMinK && CountZeros(a, size) * kListZeroShare > size;
+  const Path path = ChoosePath(a, b, m, k, n);
   ForEachBlock(n / kLanes, [&]<int V>(int j) {
-    lists ? MatMulListColumns<V>(a, b + j, out + j, m, k, n)
-          : MatMulTileColumns<V>(a, b + j, out + j, m, k, n);
+    switch (path) {
+      case Path::kTiles:
+        return MatMulTileColumns<V, false>(a, b + j, out + j, m, k, n);
+      case Path::kSkippingTiles:
+        return MatMulTileColumns<V, true>(a, b + j, out + j, m, k, n);
+      case Path::kLists:
+        return MatMulListColumns<V>(a, b + j, out + j, m, k, n);
+    }
   });
   const int vector_cols = n - n % kLanes;
-  if (vector_cols < n) {
-    MatMulTailColumns(a, b + vector_cols, out + vector_cols, m, k, n,
-                      n - vector_cols);
-  }
+  if (vector_cols == n) return;
+  path == Path::kTiles
+      ? MatMulTailColumns<false>(a, b + vector_cols, out + vector_cols, m, k,
+                                 n, n - vector_cols)
+      : MatMulTailColumns<true>(a, b + vector_cols, out + vector_cols, m, k,
+                                n, n - vector_cols);
 }
 
 void MatMulTransAInto(const float* a, const float* b, float* out, int m,

@@ -346,6 +346,9 @@ void SkipIfNoEightLanes() {
   }
 }
 
+/// Rows of `a` and `b` per chunk of the simd Aᵀ·B (kernels_simd.cc).
+constexpr int kTransAChunk = 256;
+
 /// A [m,k] MatMul operand: normal values with about `zero_share` of them
 /// zero, some of those -0.0f, and column `zero_column` all zero.
 std::vector<float> SparseOperand(int m, int k, double zero_share,
@@ -379,6 +382,20 @@ std::vector<float> OperandWithNonFiniteRow(int k, int n, int special_row,
   return b;
 }
 
+/// A [k,n] MatMul operand of normal values: finite, of mixed sign.
+std::vector<float> FiniteOperand(int k, int n, Rng* rng) {
+  std::vector<float> b(static_cast<size_t>(k) * n);
+  for (float& v : b) v = static_cast<float>(rng->Normal());
+  return b;
+}
+
+/// Expects every one of `out`'s floats to be +0.0f, bit for bit.
+void ExpectPositiveZeros(const std::vector<float>& out) {
+  const std::vector<float> zeros(out.size(), 0.0f);
+  EXPECT_EQ(0, std::memcmp(out.data(), zeros.data(),
+                           out.size() * sizeof(float)));
+}
+
 /// Expects the simd MatMul bit-identical to scalar on `a` x `b`, and, under
 /// the default backend, every row of the m-row product bit-identical to
 /// the 1-row product of that row alone: batch composition never changes
@@ -407,21 +424,45 @@ void ExpectMatMulExact(const std::vector<float>& a,
 TEST(SimdBitIdentityTest, MatMulF32IncludingTails) {
   // Every row count, depth and width class the blocked kernel tells apart:
   // row-tile remainders, k below and above its chunk, vector tails, one
-  // and several column blocks. `a` is ~5%, ~40% or ~95% zero; from k = 16
-  // the last two take the list path, everything else the tiles. Zeros
-  // include -0.0f, and a non-finite b row sits under an all-zero a column.
+  // and several column blocks, and 68 columns, which the entry points run
+  // at 8 lanes with a 4-column tail. `a` is ~5%, ~40%, ~95% or all zero,
+  // the zeros including -0.0f; from k = 16 the ~40% and ~95% shares take
+  // the list path. Each `a` meets three b's:
+  //   * a row of inf and NaN under an all-zero a column, which only the
+  //     skip keeps out of the product (the skipping tiles);
+  //   * a finite b, whose products the tiles add without a zero test (an
+  //     all-zero a must then still give +0.0f everywhere);
+  //   * the finite b with one NaN in its last column, under the zero a
+  //     column: a scalar tail column at 8 lanes, and at 4 lanes too unless
+  //     n is a multiple of 4. Only the check of every column of b sends
+  //     the tail to the skipping loop.
   Rng rng(21);
-  for (double zero_share : {0.05, 0.4, 0.95}) {
+  for (double zero_share : {0.05, 0.4, 0.95, 1.0}) {
     for (int m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64}) {
       for (int kk : {1, 12, 25, 72, 2304}) {
-        for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
-                      12, 13, 14, 15, 16, 17, 24, 48, 96, 192}) {
+        for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,
+                      13, 14, 15, 16, 17, 24, 48, 68, 96, 192}) {
           SCOPED_TRACE(testing::Message() << "zero share " << zero_share);
           const std::vector<float> a =
               SparseOperand(m, kk, zero_share, kk / 2, &rng);
-          const std::vector<float> b =
-              OperandWithNonFiniteRow(kk, n, kk / 2, &rng);
-          ExpectMatMulExact(a, b, m, kk, n);
+          ExpectMatMulExact(a, OperandWithNonFiniteRow(kk, n, kk / 2, &rng),
+                            m, kk, n);
+          std::vector<float> b = FiniteOperand(kk, n, &rng);
+          {
+            SCOPED_TRACE("finite b");
+            ExpectMatMulExact(a, b, m, kk, n);
+          }
+          if (zero_share == 1.0) {
+            std::vector<float> out(static_cast<size_t>(m) * n, 1.5f);
+            k::MatMulInto(a.data(), b.data(), out.data(), m, kk, n);
+            ExpectPositiveZeros(out);
+          }
+          if (n % 8 != 0) {
+            SCOPED_TRACE("NaN in the last column");
+            b[static_cast<size_t>(kk / 2) * n + n - 1] =
+                std::numeric_limits<float>::quiet_NaN();
+            ExpectMatMulExact(a, b, m, kk, n);
+          }
         }
       }
     }
@@ -434,20 +475,30 @@ TEST(SimdBitIdentityTest, MatMulTransAIncludingTails) {
   // transposed copy, under both backends. m crosses the simd kernel's
   // 256-row chunk (accumulators carried through `out`), k covers every
   // row-tile remainder and n every column class of MatMulF32IncludingTails.
-  // Row m/2 of `a` is all zero (some -0.0f) and the same row of `b` holds
-  // inf and NaN, which only the zero skip keeps out of the product.
+  // Row m/2 of `a` is all zero (some -0.0f), and `a` meets three b's:
+  //   * the same row of `b` holding inf and NaN, which only the zero skip
+  //     keeps out of the product;
+  //   * a finite `b`, which the tiles multiply without a zero test (an
+  //     all-zero `a` must then still give +0.0f everywhere);
+  //   * past the first chunk (m > 256), the finite `b` with one NaN in the
+  //     last column of its last row, under row m - 1 of `a`, zeroed too:
+  //     each chunk must check its own rows of `b`.
   Rng rng(28);
-  for (double zero_share : {0.05, 0.4, 0.95}) {
+  for (double zero_share : {0.05, 0.4, 0.95, 1.0}) {
     for (int m : {0, 1, 2, 3, 64, 256, 300, 600}) {
       for (int kk : {1, 2, 3, 4, 5, 7, 9, 13, 25, 72}) {
-        for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
-                      12, 13, 14, 15, 16, 17, 24, 48, 96, 192}) {
+        for (int n : {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,
+                      13, 14, 15, 16, 17, 24, 48, 68, 96, 192}) {
           SCOPED_TRACE(testing::Message()
                        << "zero share " << zero_share << " m=" << m
                        << " k=" << kk << " n=" << n);
           // SparseOperand zeroes a column; transposed, it is a's row m/2.
-          const std::vector<float> at =
-              SparseOperand(kk, m, zero_share, m / 2, &rng);
+          std::vector<float> at = SparseOperand(kk, m, zero_share, m / 2, &rng);
+          if (m > kTransAChunk) {
+            for (int p = 0; p < kk; ++p) {
+              at[static_cast<size_t>(p) * m + m - 1] = 0.0f;
+            }
+          }
           std::vector<float> a(at.size());
           for (int i = 0; i < m; ++i) {
             for (int p = 0; p < kk; ++p) {
@@ -455,20 +506,34 @@ TEST(SimdBitIdentityTest, MatMulTransAIncludingTails) {
                   at[static_cast<size_t>(p) * m + i];
             }
           }
-          const std::vector<float> b =
-              m == 0 ? std::vector<float>()
-                     : OperandWithNonFiniteRow(m, n, m / 2, &rng);
           const size_t size = static_cast<size_t>(kk) * n;
-          ExpectCopiesMatchScalar(size, [&](const KernelCopy& copy,
-                                            float* out) {
-            copy.matmul_trans_a(a.data(), b.data(), out, m, kk, n);
-          });
-          std::vector<float> direct(size, 3.5f);
-          std::vector<float> transposed(size, -7.25f);
-          k::MatMulTransAInto(a.data(), b.data(), direct.data(), m, kk, n);
-          k::MatMulInto(at.data(), b.data(), transposed.data(), kk, m, n);
-          EXPECT_EQ(0, std::memcmp(direct.data(), transposed.data(),
-                                   size * sizeof(float)));
+          const auto expect_exact = [&](const std::vector<float>& b) {
+            ExpectCopiesMatchScalar(size, [&](const KernelCopy& copy,
+                                              float* out) {
+              copy.matmul_trans_a(a.data(), b.data(), out, m, kk, n);
+            });
+            std::vector<float> direct(size, 3.5f);
+            std::vector<float> transposed(size, -7.25f);
+            k::MatMulTransAInto(a.data(), b.data(), direct.data(), m, kk, n);
+            k::MatMulInto(at.data(), b.data(), transposed.data(), kk, m, n);
+            EXPECT_EQ(0, std::memcmp(direct.data(), transposed.data(),
+                                     size * sizeof(float)));
+            return direct;
+          };
+          expect_exact(m == 0 ? std::vector<float>()
+                              : OperandWithNonFiniteRow(m, n, m / 2, &rng));
+          std::vector<float> b = FiniteOperand(m, n, &rng);
+          {
+            SCOPED_TRACE("finite b");
+            const std::vector<float> out = expect_exact(b);
+            if (zero_share == 1.0) ExpectPositiveZeros(out);
+          }
+          if (m > kTransAChunk) {
+            SCOPED_TRACE("NaN in the last row");
+            b[static_cast<size_t>(m - 1) * n + n - 1] =
+                std::numeric_limits<float>::quiet_NaN();
+            expect_exact(b);
+          }
         }
       }
     }
