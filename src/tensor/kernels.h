@@ -13,8 +13,9 @@ namespace vsd::tensor::kernels {
 // with a simd-backend variant (all but Tanh and Sigmoid) pick a simd copy
 // or `scalar::` by `ActiveBackend()`, the rest always call `scalar::`.
 // Under the simd backend, x86-64 GCC/Clang builds run the 8-lane copy on
-// CPUs with AVX2 when the width a call vectorises is a multiple of 8, and
-// the 4-lane copy otherwise (kernels.cc).
+// CPUs with AVX2 when the width a call vectorises is a multiple of 8 (for
+// the fp32 MatMuls, also when it is at least 64), and the 4-lane copy
+// otherwise (kernels.cc).
 // Bit-identity between the execution modes is therefore structural: both
 // reach the same function for a given backend, and the simd kernels are
 // required to be bit-identical to the scalar reference (fixed k-order
@@ -54,8 +55,10 @@ void SetBackend(Backend backend);
 /// Drops the SetBackend override, returning control to the environment.
 void ClearBackendOverride();
 
-/// [M,K]x[K,N] -> [M,N] with rows of zeros in `a` skipped (the one-hot /
-/// sparse-mask fast path the eager MatMul relies on).
+/// [M,K]x[K,N] -> [M,N]. Each out[i,j] starts at +0.0f and adds
+/// a[i,p] * b[p,j] for p ascending, skipping the entries of `a` equal to
+/// zero (-0.0f included). The skip changes a result only when `b` holds an
+/// inf or a NaN, which a skipped zero keeps out of the product.
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n);
 
