@@ -130,7 +130,7 @@ constexpr int kListMinK = 16;
 /// The list path lists nonzero p's in chunks of this many (on the stack).
 constexpr int kChunk = 256;
 /// The zero share is counted over `a`'s first rows only: a pass over all
-/// of conv1's [36864, 25] patches cost a sixth of the product.
+/// of conv1's [36864, 25] patches cost about a fifth of the product.
 constexpr int kZeroCountRows = 256;
 
 constexpr int TileRows(int vectors, int max_rows = kMaxTileRows) {
